@@ -18,8 +18,8 @@ struct PipelineResult {
   std::string compressor_name;
   double error_bound = 0.0;
 
-  size_t raw_bytes = 0;         ///< Raw binary representation, pre-gzip.
-  size_t raw_gz_bytes = 0;      ///< gzip(raw), the CR denominator's source.
+  size_t raw_bytes = 0;         ///< |SerializeRawCsv(series)|, pre-gzip.
+  size_t raw_gz_bytes = 0;      ///< gzip(raw CSV), the CR numerator.
   size_t compressed_bytes = 0;  ///< Algorithm output, pre-gzip.
   size_t gz_bytes = 0;          ///< gzip(algorithm output): the ".gz file".
 
@@ -46,19 +46,24 @@ struct PipelineResult {
   TimeSeries decompressed;
 };
 
-/// Serializes the raw series as binary: shared timestamp header + 8-byte
-/// IEEE values (the in-memory working format).
-std::vector<uint8_t> SerializeRaw(const TimeSeries& series);
-
 /// Serializes the raw series as CSV text ("timestamp,value" rows). The
 /// paper's raw-size baseline applies gzip *directly to the raw dataset*,
 /// i.e. to the distributed CSV files, so the CR numerator uses this form.
 std::vector<uint8_t> SerializeRawCsv(const TimeSeries& series);
 
 /// gzip(SerializeRawCsv(series)).size() — the numerator of every CR.
+///
+/// Computed once per distinct series: the result (with the CSV size that
+/// RunPipeline reports as `raw_bytes`) is kept in a process-wide,
+/// thread-safe memo of the last 8 distinct series, evicted first in, first
+/// out. The key is the series' exact bits — start timestamp, interval and a
+/// memcmp of the values — so an edited series, 0.0 vs -0.0 or another NaN
+/// payload never reuses a stale size. The memo holds a copy of each series'
+/// values it keys on.
 size_t RawGzipSize(const TimeSeries& series);
 
-/// Runs the full pipeline for one (compressor, error bound) pair.
+/// Runs the full pipeline for one (compressor, error bound) pair. The
+/// `raw_bytes`/`raw_gz_bytes` sizes go through RawGzipSize's memo.
 Result<PipelineResult> RunPipeline(const Compressor& compressor,
                                    const TimeSeries& series,
                                    double error_bound);

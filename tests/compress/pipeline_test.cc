@@ -1,10 +1,13 @@
 #include "compress/pipeline.h"
 
+#include <atomic>
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
+#include "core/thread_pool.h"
+#include "zip/gzip.h"
 
 namespace lossyts::compress {
 namespace {
@@ -18,12 +21,6 @@ TimeSeries SmoothSeries(size_t n, uint64_t seed) {
     v[i] = x + 3.0 * std::sin(static_cast<double>(i) * 0.02);
   }
   return TimeSeries(0, 900, std::move(v));
-}
-
-TEST(PipelineTest, SerializeRawHasExpectedSize) {
-  TimeSeries ts = SmoothSeries(100, 1);
-  std::vector<uint8_t> raw = SerializeRaw(ts);
-  EXPECT_EQ(raw.size(), 4u + 2u + 4u + 100u * 8u);
 }
 
 TEST(PipelineTest, SerializeRawCsvIsParsableText) {
@@ -114,6 +111,124 @@ TEST(PipelineTest, SegmentCountsMatchFigure3Ordering) {
   ASSERT_TRUE(pmc_result.ok());
   ASSERT_TRUE(swing_result.ok());
   EXPECT_LE(swing_result->segment_count, pmc_result->segment_count);
+}
+
+// The CR numerator computed from scratch, bypassing the memo.
+struct FreshRawSizes {
+  size_t raw_bytes;
+  size_t raw_gz_bytes;
+};
+
+FreshRawSizes ComputeFresh(const TimeSeries& ts) {
+  const std::vector<uint8_t> csv = SerializeRawCsv(ts);
+  return {csv.size(), zip::GzipCompress(csv).size()};
+}
+
+// Both memoized entry points, RawGzipSize and RunPipeline, must report what a
+// fresh SerializeRawCsv + gzip of `ts` gives. Returns the fresh sizes.
+FreshRawSizes ExpectMatchesFresh(const TimeSeries& ts) {
+  const FreshRawSizes fresh = ComputeFresh(ts);
+  EXPECT_EQ(RawGzipSize(ts), fresh.raw_gz_bytes);
+  Result<std::unique_ptr<Compressor>> gorilla = MakeCompressor("GORILLA");
+  EXPECT_TRUE(gorilla.ok());
+  if (!gorilla.ok()) return fresh;
+  Result<PipelineResult> r = RunPipeline(**gorilla, ts, 0.0);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (!r.ok()) return fresh;
+  EXPECT_EQ(r->raw_bytes, fresh.raw_bytes);
+  EXPECT_EQ(r->raw_gz_bytes, fresh.raw_gz_bytes);
+  return fresh;
+}
+
+TEST(PipelineTest, RawSizesRepeatedCallMatchesFresh) {
+  const TimeSeries ts = SmoothSeries(2000, 21);
+  ExpectMatchesFresh(ts);
+  ExpectMatchesFresh(ts);
+  ExpectMatchesFresh(TimeSeries(ts));
+}
+
+TEST(PipelineTest, RawSizesSeeMutableValuesEdit) {
+  TimeSeries ts = SmoothSeries(2000, 23);
+  const FreshRawSizes before = ExpectMatchesFresh(ts);
+  // "0" is far shorter than the ~11-character values it replaces, so a stale
+  // memo hit would report the old, larger sizes.
+  for (size_t i = 0; i < 500; ++i) ts.mutable_values()[i] = 0.0;
+  const FreshRawSizes after = ExpectMatchesFresh(ts);
+  EXPECT_LT(after.raw_bytes, before.raw_bytes);
+}
+
+TEST(PipelineTest, RawSizesSeeStartAndInterval) {
+  const TimeSeries base = SmoothSeries(2000, 25);
+  const TimeSeries later(1700000000, base.interval_seconds(), base.values());
+  const TimeSeries denser(base.start_timestamp(), 7, base.values());
+  const FreshRawSizes b = ExpectMatchesFresh(base);
+  const FreshRawSizes l = ExpectMatchesFresh(later);
+  const FreshRawSizes d = ExpectMatchesFresh(denser);
+  // Equal values, different timestamp columns: the CSV sizes must differ.
+  EXPECT_NE(b.raw_bytes, l.raw_bytes);
+  EXPECT_NE(b.raw_bytes, d.raw_bytes);
+}
+
+TEST(PipelineTest, RawSizesTellZeroFromNegativeZero) {
+  // Zeros between ones: RunPipeline's NRMSE needs a non-constant series.
+  std::vector<double> zeros(1000, 1.0);
+  std::vector<double> negative_zeros(1000, 1.0);
+  for (size_t i = 0; i < zeros.size(); i += 2) {
+    zeros[i] = 0.0;
+    negative_zeros[i] = -0.0;
+  }
+  const FreshRawSizes z = ExpectMatchesFresh(TimeSeries(0, 60, zeros));
+  const FreshRawSizes n =
+      ExpectMatchesFresh(TimeSeries(0, 60, negative_zeros));
+  // 0.0 == -0.0 compares equal, but the CSV prints "-0": 500 more bytes.
+  EXPECT_EQ(n.raw_bytes, z.raw_bytes + 500u);
+}
+
+TEST(PipelineTest, RawSizesSurviveEviction) {
+  // Far more distinct series than the memo holds, then the first again: it
+  // was evicted, and whatever the memo now holds must not answer for it.
+  const TimeSeries first = SmoothSeries(1500, 27);
+  ExpectMatchesFresh(first);
+  for (uint64_t seed = 100; seed < 120; ++seed) {
+    ExpectMatchesFresh(SmoothSeries(1000 + seed, seed));
+  }
+  ExpectMatchesFresh(first);
+}
+
+// Workers on a shared series and on distinct series at once; the memo's lock
+// and its compute-outside-the-lock path are the cross-thread state. Named
+// *ConcurrencyTest so the TSan CI leg picks it up.
+TEST(PipelineConcurrencyTest, SharedAndDistinctSeriesMatchFresh) {
+  std::vector<TimeSeries> series;
+  for (uint64_t seed = 0; seed < 12; ++seed) {
+    series.push_back(SmoothSeries(800 + 50 * seed, 300 + seed));
+  }
+  std::vector<FreshRawSizes> fresh;
+  for (const TimeSeries& ts : series) fresh.push_back(ComputeFresh(ts));
+
+  constexpr size_t kTasks = 96;
+  std::atomic<size_t> mismatches{0};
+  ThreadPool pool(4);
+  for (size_t task = 0; task < kTasks; ++task) {
+    pool.Submit([&, task] {
+      // Even tasks share series 0; odd tasks cycle through all of them.
+      const size_t index = task % 2 == 0 ? 0 : (task / 2) % series.size();
+      const TimeSeries& ts = series[index];
+      Result<std::unique_ptr<Compressor>> gorilla = MakeCompressor("GORILLA");
+      if (!gorilla.ok()) {
+        mismatches.fetch_add(1);
+        return;
+      }
+      Result<PipelineResult> r = RunPipeline(**gorilla, ts, 0.0);
+      if (RawGzipSize(ts) != fresh[index].raw_gz_bytes || !r.ok() ||
+          r->raw_bytes != fresh[index].raw_bytes ||
+          r->raw_gz_bytes != fresh[index].raw_gz_bytes) {
+        mismatches.fetch_add(1);
+      }
+    });
+  }
+  pool.Wait();
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 TEST(PipelineTest, MakeCompressorRejectsUnknownName) {

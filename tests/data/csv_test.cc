@@ -5,13 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+
 namespace lossyts::data {
 namespace {
 
 class CsvTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/lossyts_csv_test.csv";
+    path_ = test::UniqueTestDir() + "/lossyts_csv_test.csv";
   }
   void TearDown() override { std::remove(path_.c_str()); }
 

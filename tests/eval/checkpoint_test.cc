@@ -13,6 +13,7 @@
 #include "eval/checkpoint.h"
 #include "eval/grid.h"
 #include "zip/crc32.h"
+#include "test_util.h"
 
 namespace lossyts::eval {
 namespace {
@@ -33,7 +34,7 @@ GridOptions TinyGrid() {
 }
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + name;
+  return test::UniqueTestDir() + "/" + name;
 }
 
 void ExpectSameRecord(const GridRecord& a, const GridRecord& b) {

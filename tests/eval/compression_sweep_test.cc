@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+
 namespace lossyts::eval {
 namespace {
 
@@ -65,7 +67,7 @@ TEST(SweepTest, TeAndCrGrowWithBound) {
 TEST(SweepTest, CsvRoundTrip) {
   Result<std::vector<SweepRecord>> records = RunCompressionSweep(TinySweep());
   ASSERT_TRUE(records.ok());
-  const std::string path = ::testing::TempDir() + "/sweep_cache_test.csv";
+  const std::string path = test::UniqueTestDir() + "/sweep_cache_test.csv";
   ASSERT_TRUE(SaveSweepCsv(*records, path).ok());
   Result<std::vector<SweepRecord>> loaded = LoadSweepCsv(path);
   ASSERT_TRUE(loaded.ok());
@@ -82,7 +84,7 @@ TEST(SweepTest, CsvRoundTrip) {
 }
 
 TEST(SweepTest, LoadOrRunCaches) {
-  const std::string path = ::testing::TempDir() + "/sweep_cache_test2.csv";
+  const std::string path = test::UniqueTestDir() + "/sweep_cache_test2.csv";
   std::remove(path.c_str());
   Result<std::vector<SweepRecord>> first = LoadOrRunSweep(TinySweep(), path);
   ASSERT_TRUE(first.ok());

@@ -21,6 +21,7 @@
 #include "eval/checkpoint.h"
 #include "eval/compression_sweep.h"
 #include "eval/grid.h"
+#include "test_util.h"
 
 namespace lossyts::eval {
 namespace {
@@ -53,7 +54,7 @@ std::vector<std::string> Rows(const std::vector<GridRecord>& records) {
 }
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + name;
+  return test::UniqueTestDir() + "/" + name;
 }
 
 std::string ReadFileOrDie(const std::string& path) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "eval/report.h"
+#include "test_util.h"
 
 namespace lossyts::eval {
 namespace {
@@ -79,7 +80,7 @@ TEST(GridTest, HigherErrorBoundHasHigherTe) {
 TEST(GridTest, CsvRoundTrip) {
   Result<std::vector<GridRecord>> records = RunGrid(TinyGrid());
   ASSERT_TRUE(records.ok());
-  const std::string path = ::testing::TempDir() + "/grid_cache_test.csv";
+  const std::string path = test::UniqueTestDir() + "/grid_cache_test.csv";
   ASSERT_TRUE(SaveGridCsv(*records, path).ok());
   Result<std::vector<GridRecord>> loaded = LoadGridCsv(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -96,7 +97,7 @@ TEST(GridTest, CsvRoundTrip) {
 }
 
 TEST(GridTest, LoadOrRunUsesCache) {
-  const std::string path = ::testing::TempDir() + "/grid_cache_test2.csv";
+  const std::string path = test::UniqueTestDir() + "/grid_cache_test2.csv";
   std::remove(path.c_str());
   Result<std::vector<GridRecord>> first = LoadOrRunGrid(TinyGrid(), path);
   ASSERT_TRUE(first.ok());

@@ -16,12 +16,13 @@
 #include "eval/store_source.h"
 #include "store/reader.h"
 #include "store/writer.h"
+#include "test_util.h"
 
 namespace lossyts::eval {
 namespace {
 
 std::string TempDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + name;
+  std::string dir = test::UniqueTestDir() + "/" + name;
   return dir;
 }
 

@@ -17,6 +17,7 @@
 #include "core/time_series.h"
 #include "store/format.h"
 #include "store/writer.h"
+#include "test_util.h"
 
 namespace lossyts::query {
 namespace {
@@ -27,7 +28,7 @@ class QueryTest : public ::testing::Test {
 };
 
 std::string TempDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + name;
+  const std::string dir = test::UniqueTestDir() + "/" + name;
   const std::string cmd = "rm -rf '" + dir + "' && mkdir -p '" + dir + "'";
   [[maybe_unused]] const int rc = std::system(cmd.c_str());
   return dir;

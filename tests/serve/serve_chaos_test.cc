@@ -21,6 +21,7 @@
 
 #include "core/failpoint.h"
 #include "serve/shard.h"
+#include "test_util.h"
 
 namespace lossyts::serve {
 namespace {
@@ -66,7 +67,7 @@ TEST(ServeChaosTest, RandomKillsNeverLoseAckedOrSplitUnackedWrites) {
   for (int iter = 0; iter < iterations; ++iter) {
     std::mt19937 rng(0xC4A05000u + static_cast<uint32_t>(iter));
     const std::string dir =
-        ::testing::TempDir() + "serve_chaos_" + std::to_string(iter);
+        test::UniqueTestDir() + "/serve_chaos_" + std::to_string(iter);
     {
       const std::string cmd = "rm -rf '" + dir + "'";
       ASSERT_EQ(std::system(cmd.c_str()), 0);

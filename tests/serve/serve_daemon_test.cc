@@ -17,6 +17,7 @@
 #include "serve/client.h"
 #include "serve/daemon.h"
 #include "serve/protocol.h"
+#include "test_util.h"
 
 namespace lossyts::serve {
 namespace {
@@ -27,7 +28,7 @@ class ServeDaemonTest : public ::testing::Test {
 };
 
 std::string TempDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + name;
+  const std::string dir = test::UniqueTestDir() + "/" + name;
   std::string cmd = "rm -rf '" + dir + "'";
   [[maybe_unused]] const int rc = std::system(cmd.c_str());
   return dir;
@@ -410,7 +411,7 @@ TEST_F(ServeDaemonTest, GarbageFramesDropTheConnectionWithoutReply) {
 // Mixed concurrent clients against one daemon; named *ConcurrencyTest so the
 // TSan CI leg picks it up.
 TEST(ServeDaemonConcurrencyTest, ParallelWritersAndReadersStayConsistent) {
-  const std::string dir = ::testing::TempDir() + "daemon_parallel";
+  const std::string dir = test::UniqueTestDir() + "/daemon_parallel";
   std::string cmd = "rm -rf '" + dir + "'";
   [[maybe_unused]] const int rc = std::system(cmd.c_str());
   DaemonOptions options;

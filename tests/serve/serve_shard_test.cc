@@ -13,6 +13,7 @@
 
 #include "core/failpoint.h"
 #include "serve/shard.h"
+#include "test_util.h"
 
 namespace lossyts::serve {
 namespace {
@@ -23,7 +24,7 @@ class ServeShardTest : public ::testing::Test {
 };
 
 std::string TempDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + name;
+  const std::string dir = test::UniqueTestDir() + "/" + name;
   // Start from a clean slate: stale files from a previous run would change
   // recovery behaviour.
   std::string cmd = "rm -rf '" + dir + "'";

@@ -10,6 +10,7 @@
 #include "conform/mutate.h"
 #include "core/failpoint.h"
 #include "serve/wal.h"
+#include "test_util.h"
 
 namespace lossyts::serve {
 namespace {
@@ -20,7 +21,7 @@ class WalTest : public ::testing::Test {
 };
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + name;
+  return test::UniqueTestDir() + "/" + name;
 }
 
 WalRecord MakeRecord(const std::string& series, uint64_t first_index,

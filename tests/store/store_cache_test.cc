@@ -11,12 +11,13 @@
 #include "store/format.h"
 #include "store/reader.h"
 #include "store/writer.h"
+#include "test_util.h"
 
 namespace lossyts::store {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + name;
+  return test::UniqueTestDir() + "/" + name;
 }
 
 // `chunks` chunks of 4 points each, lossless so decode results are exact.

@@ -14,12 +14,13 @@
 #include "store/query.h"
 #include "store/reader.h"
 #include "store/writer.h"
+#include "test_util.h"
 
 namespace lossyts::store {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + name;
+  return test::UniqueTestDir() + "/" + name;
 }
 
 std::unique_ptr<StoreReader> MakeStore(const std::string& name,

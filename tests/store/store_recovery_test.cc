@@ -11,6 +11,7 @@
 #include "core/rng.h"
 #include "store/reader.h"
 #include "store/writer.h"
+#include "test_util.h"
 
 namespace lossyts::store {
 namespace {
@@ -21,7 +22,7 @@ class StoreRecoveryTest : public ::testing::Test {
 };
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + name;
+  return test::UniqueTestDir() + "/" + name;
 }
 
 TimeSeries MakeWalk(size_t n) {

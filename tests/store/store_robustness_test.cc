@@ -11,6 +11,7 @@
 #include "core/rng.h"
 #include "store/reader.h"
 #include "store/writer.h"
+#include "test_util.h"
 
 namespace lossyts::conform {
 namespace {
@@ -24,7 +25,7 @@ std::vector<uint8_t> BuildStoreImage(const std::vector<std::string>& codecs,
     x += 0.1 * rng.Normal();
     val = x;
   }
-  const std::string path = ::testing::TempDir() + "mutant_base.lts";
+  const std::string path = test::UniqueTestDir() + "/mutant_base.lts";
   store::StoreOptions options;
   options.chunk_span = 300;
   options.codecs = codecs;

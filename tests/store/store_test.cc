@@ -14,12 +14,13 @@
 #include "store/format.h"
 #include "store/reader.h"
 #include "store/writer.h"
+#include "test_util.h"
 
 namespace lossyts::store {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + name;
+  return test::UniqueTestDir() + "/" + name;
 }
 
 TimeSeries MakeWalk(size_t n, uint64_t seed = 42) {

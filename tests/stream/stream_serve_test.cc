@@ -22,6 +22,7 @@
 #include "serve/daemon.h"
 #include "serve/shard.h"
 #include "stream/streaming_compressor.h"
+#include "test_util.h"
 
 namespace lossyts::serve {
 namespace {
@@ -36,7 +37,7 @@ int ChaosIterations() {
 }
 
 std::string FreshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + name;
+  const std::string dir = test::UniqueTestDir() + "/" + name;
   const std::string cmd = "rm -rf '" + dir + "'";
   [[maybe_unused]] const int rc = std::system(cmd.c_str());
   return dir;

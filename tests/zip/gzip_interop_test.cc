@@ -13,6 +13,7 @@
 
 #include "core/rng.h"
 #include "zip/gzip.h"
+#include "test_util.h"
 
 namespace lossyts::zip {
 namespace {
@@ -46,7 +47,7 @@ class GzipInteropTest : public ::testing::Test {
  protected:
   void SetUp() override {
     if (!HaveSystemGzip()) GTEST_SKIP() << "no system gzip available";
-    base_ = ::testing::TempDir() + "/lossyts_interop";
+    base_ = test::UniqueTestDir() + "/lossyts_interop";
   }
   void TearDown() override {
     std::remove((base_ + ".bin").c_str());

@@ -282,14 +282,20 @@ run_config() {
 }
 
 run_config plain ""
+# Order and parallelism guard: the whole suite again in a random order, three
+# times over, so a test that leans on another's files or on running first
+# fails CI rather than a later run.
+ctest --test-dir "${BUILD_ROOT}/plain" --output-on-failure -j "${JOBS}" \
+  --schedule-random --repeat until-fail:3
 ASAN_OPTIONS=detect_leaks=0 run_config asan address
 UBSAN_OPTIONS=halt_on_error=1 run_config ubsan undefined
 # TSan is restricted to the concurrency suite: the pool, the progress
-# reporter, the artifact store, the parallel-vs-sequential grid tests, and
-# the serve-daemon/store reader-vs-writer races exercise every cross-thread
-# edge, and a full TSan run of the NN training tests would dominate CI time
-# without touching more shared state.
+# reporter, the artifact store, the CR-numerator memo, the
+# parallel-vs-sequential grid tests, and the serve-daemon/store
+# reader-vs-writer races exercise every cross-thread edge, and a full TSan
+# run of the NN training tests would dominate CI time without touching more
+# shared state.
 TSAN_OPTIONS=halt_on_error=1 run_config tsan thread \
-  'ThreadPoolTest|ProgressTest|SeedTest|GridConcurrencyTest|ArtifactStoreTest|StoreConcurrencyTest|ServeConcurrencyTest|ServeDaemonConcurrencyTest|StoreRaceConcurrencyTest'
+  'ThreadPoolTest|ProgressTest|SeedTest|GridConcurrencyTest|ArtifactStoreTest|StoreConcurrencyTest|ServeConcurrencyTest|ServeDaemonConcurrencyTest|StoreRaceConcurrencyTest|PipelineConcurrencyTest'
 
 echo "=== ci.sh: all configurations passed ==="
