@@ -12,6 +12,7 @@
 #include "store/format.h"
 #include "store/query.h"
 #include "store/reader.h"
+#include "zip/frame.h"
 
 namespace lossyts::conform {
 
@@ -58,28 +59,30 @@ void AddTruncations(const std::vector<uint8_t>& blob,
   }
 }
 
-void AddHeaderBitFlips(const std::vector<uint8_t>& blob,
-                       std::vector<Mutant>& out) {
-  const size_t limit = std::min(blob.size(), kHeaderSize);
-  for (size_t byte = 0; byte < limit; ++byte) {
+void AddBitFlipRange(const std::vector<uint8_t>& image, size_t begin,
+                     size_t count, const std::string& what,
+                     std::vector<Mutant>& out) {
+  const size_t end = std::min(image.size(), begin + count);
+  for (size_t byte = begin; byte < end; ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
-      Mutant m{"bit-flip@" + std::to_string(byte) + "." + std::to_string(bit),
-               blob};
+      Mutant m{what + "-flip@" + std::to_string(byte) + "." +
+                   std::to_string(bit),
+               image};
       m.blob[byte] ^= static_cast<uint8_t>(1u << bit);
       out.push_back(std::move(m));
     }
   }
 }
 
-void AddCountSplices(const std::vector<uint8_t>& blob, size_t offset,
-                     const char* what, std::vector<Mutant>& out) {
-  if (blob.size() < offset + 4) return;
-  const uint32_t old = ReadU32LE(blob, offset);
+void AddU32Splices(const std::vector<uint8_t>& image, size_t offset,
+                   const std::string& what, std::vector<Mutant>& out) {
+  if (image.size() < offset + 4) return;
+  const uint32_t old = ReadU32LE(image, offset);
   const uint32_t values[] = {0u,       1u,          old - 1u, old + 1u,
                              old * 2u, 0x7FFFFFFFu, 0xFFFFFFFFu};
   for (const uint32_t v : values) {
     if (v == old) continue;
-    Mutant m{std::string(what) + "=" + Hex(v), blob};
+    Mutant m{what + "=" + Hex(v), image};
     WriteU32LE(m.blob, offset, v);
     out.push_back(std::move(m));
   }
@@ -129,9 +132,9 @@ std::vector<Mutant> GenerateMutants(const std::vector<uint8_t>& blob,
                                     uint64_t seed, int random_bit_flips) {
   std::vector<Mutant> out;
   AddTruncations(blob, out);
-  AddHeaderBitFlips(blob, out);
-  AddCountSplices(blob, kPointCountOffset, "num-points", out);
-  AddCountSplices(blob, kFirstPayloadCountOffset, "payload-count", out);
+  AddBitFlipRange(blob, 0, kHeaderSize, "bit", out);
+  AddU32Splices(blob, kPointCountOffset, "num-points", out);
+  AddU32Splices(blob, kFirstPayloadCountOffset, "payload-count", out);
   AddSegmentLengthSplices(blob, out);
   AddRandomMutations(blob, seed, random_bit_flips, out);
   return out;
@@ -165,21 +168,6 @@ void WriteU64LE(std::vector<uint8_t>& blob, size_t offset, uint64_t v) {
   std::memcpy(blob.data() + offset, &v, sizeof(v));
 }
 
-void AddBitFlipRange(const std::vector<uint8_t>& image, size_t begin,
-                     size_t count, const char* what,
-                     std::vector<Mutant>& out) {
-  const size_t end = std::min(image.size(), begin + count);
-  for (size_t byte = begin; byte < end; ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      Mutant m{std::string(what) + "-flip@" + std::to_string(byte) + "." +
-                   std::to_string(bit),
-               image};
-      m.blob[byte] ^= static_cast<uint8_t>(1u << bit);
-      out.push_back(std::move(m));
-    }
-  }
-}
-
 void AddStoreTruncation(const std::vector<uint8_t>& image, size_t at,
                         std::vector<Mutant>& out) {
   if (at >= image.size()) return;
@@ -194,18 +182,25 @@ void AddStoreTruncation(const std::vector<uint8_t>& image, size_t at,
                                       image.begin() + static_cast<long>(at))});
 }
 
-void AddU32Splices(const std::vector<uint8_t>& image, size_t offset,
-                   const char* what, std::vector<Mutant>& out) {
-  if (image.size() < offset + 4) return;
-  const uint32_t old = ReadU32LE(image, offset);
-  const uint32_t values[] = {0u,       1u,          old - 1u, old + 1u,
-                             old * 2u, 0x7FFFFFFFu, 0xFFFFFFFFu};
-  for (const uint32_t v : values) {
-    if (v == old) continue;
-    Mutant m{std::string(what) + "=" + Hex(v), image};
-    WriteU32LE(m.blob, offset, v);
-    out.push_back(std::move(m));
+// The frame family both file batteries share: the zip/frame.h frame at
+// `frame` with `payload_size` payload bytes is cut at each field boundary
+// and mid-payload, bit-flipped across its header, payload edges and CRC, and
+// spliced in its size field. `prefix` namespaces the mutant kinds.
+void AddFrameMutations(const std::vector<uint8_t>& image, size_t frame,
+                       size_t payload_size, const std::string& prefix,
+                       std::vector<Mutant>& out) {
+  const size_t payload = frame + zip::kFrameHeaderSize;
+  const size_t crc = payload + payload_size;
+  const size_t end = frame + zip::kFrameOverhead + payload_size;
+  for (const size_t at :
+       {frame + 4, payload, payload + payload_size / 2, crc, end - 1, end}) {
+    AddStoreTruncation(image, at, out);
   }
+  AddBitFlipRange(image, frame, zip::kFrameHeaderSize, prefix + "frame", out);
+  AddBitFlipRange(image, payload, 1, prefix + "payload-head", out);
+  AddBitFlipRange(image, crc - 1, 1, prefix + "payload-tail", out);
+  AddBitFlipRange(image, crc, 4, prefix + "crc", out);
+  AddU32Splices(image, frame + 4, prefix + "frame-size", out);
 }
 
 // Maximum |a - b| the fp-rounding gap between a closed-form pushdown
@@ -247,20 +242,8 @@ std::vector<Mutant> GenerateStoreMutants(const std::vector<uint8_t>& image,
     AddStoreTruncation(image, data_begin, out);
     if (!reader.chunks().empty()) {
       const store::ChunkInfo& first = reader.chunks()[0];
-      const size_t frame = static_cast<size_t>(first.offset);
-      AddStoreTruncation(image, frame + 4, out);
-      AddStoreTruncation(image, frame + 8, out);
-      AddStoreTruncation(image, frame + 8 + first.payload_size / 2, out);
-      AddStoreTruncation(image, frame + 8 + first.payload_size, out);
-      AddStoreTruncation(
-          image, frame + store::kChunkFrameOverhead + first.payload_size, out);
-
-      // Frame framing fields: magic + payload size, payload edges.
-      AddBitFlipRange(image, frame, 8, "frame", out);
-      AddBitFlipRange(image, frame + 8, 1, "payload-head", out);
-      AddBitFlipRange(image, frame + 8 + first.payload_size - 1, 1,
-                      "payload-tail", out);
-      AddU32Splices(image, frame + 4, "frame-size", out);
+      AddFrameMutations(image, static_cast<size_t>(first.offset),
+                        first.payload_size, "", out);
     }
     if (index_offset < image.size()) {
       const size_t index = static_cast<size_t>(index_offset);
@@ -307,25 +290,13 @@ std::vector<Mutant> GenerateWalMutants(const std::vector<uint8_t>& image,
   AddStoreTruncation(image, serve::kWalHeaderSize, out);
   AddBitFlipRange(image, 0, serve::kWalHeaderSize, "wal-header", out);
 
-  // Structure of the first record, recovered by replaying the (valid) input.
-  Result<serve::WalReplay> replay = serve::ReplayWalBytes(image);
-  if (replay.ok() && !replay->records.empty()) {
-    const size_t frame = serve::kWalHeaderSize;
-    const size_t frame_size =
-        serve::EncodeWalRecord(replay->records[0]).size();
-    const size_t payload_size = frame_size - serve::kWalFrameOverhead;
-    AddStoreTruncation(image, frame + 4, out);      // After the magic.
-    AddStoreTruncation(image, frame + 8, out);      // After the size field.
-    AddStoreTruncation(image, frame + 8 + payload_size / 2, out);
-    AddStoreTruncation(image, frame + 8 + payload_size, out);  // Before CRC.
-    AddStoreTruncation(image, frame + frame_size - 1, out);
-    AddStoreTruncation(image, frame + frame_size, out);
-    AddBitFlipRange(image, frame, 8, "wal-frame", out);
-    AddBitFlipRange(image, frame + 8, 1, "wal-payload-head", out);
-    AddBitFlipRange(image, frame + 8 + payload_size - 1, 1,
-                    "wal-payload-tail", out);
-    AddBitFlipRange(image, frame + 8 + payload_size, 4, "wal-crc", out);
-    AddU32Splices(image, frame + 4, "wal-record-size", out);
+  // The first record's frame, when the input has one.
+  Result<zip::Frame> first =
+      zip::ParseFrameAt(image.data(), serve::kWalHeaderSize, image.size(),
+                        serve::kWalRecordMagic, serve::kWalMaxPayload);
+  if (first.ok()) {
+    AddFrameMutations(image, serve::kWalHeaderSize, first->payload_size,
+                      "wal-", out);
   }
 
   AddRandomMutations(image, seed, random_bit_flips, out);
@@ -359,8 +330,12 @@ std::optional<OracleFailure> CheckWalMutant(const Mutant& mutant) {
   std::vector<uint8_t> rebuilt(mutant.blob.begin(),
                                mutant.blob.begin() + serve::kWalHeaderSize);
   for (const serve::WalRecord& record : replay->records) {
-    const std::vector<uint8_t> frame = serve::EncodeWalRecord(record);
-    rebuilt.insert(rebuilt.end(), frame.begin(), frame.end());
+    Result<std::vector<uint8_t>> frame = serve::EncodeWalRecord(record);
+    if (!frame.ok()) {
+      return fail("a replayed record does not re-encode: " +
+                  frame.status().ToString());
+    }
+    rebuilt.insert(rebuilt.end(), frame->begin(), frame->end());
   }
   if (rebuilt.size() != replay->valid_bytes ||
       std::memcmp(rebuilt.data(), mutant.blob.data(), rebuilt.size()) != 0) {

@@ -39,12 +39,15 @@ std::optional<OracleFailure> CheckMutantDecode(
 
 /// Derives the mutation battery for one chunk store file image (the on-disk
 /// format of store/format.h), structure-aware against its framing:
-///  - truncations at the header / chunk-frame / index / footer boundaries
-///    and mid-frame (torn-write shapes),
-///  - single-bit flips across the file header, the first chunk frame's
-///    framing fields, the index block head and the footer,
-///  - u32/u64 splices of the frame payload size, the index entry count, an
-///    index entry's point count, and the footer's index offset,
+///  - the frame family (shared with GenerateWalMutants) on the first chunk
+///    frame: truncations at each field boundary and mid-payload, bit flips
+///    across its header, payload edges and CRC, splices of its size field,
+///  - truncations inside the file header and at the index and footer
+///    boundaries (torn-write shapes),
+///  - single-bit flips across the file header, the index block head and
+///    the footer,
+///  - u32/u64 splices of the index entry count, an index entry's point
+///    count, and the footer's index offset,
 ///  - `random_bit_flips` seeded random bit flips and byte splices anywhere.
 /// The image should be a valid store file; deterministic in
 /// (image, seed, random_bit_flips).
@@ -62,11 +65,9 @@ std::optional<OracleFailure> CheckStoreMutant(const Mutant& mutant);
 
 /// Derives the mutation battery for one serve WAL image (the on-disk format
 /// of serve/wal.h), structure-aware against its framing:
-///  - truncations inside the header, at the first record's structural
-///    boundaries and mid-payload (torn-write shapes),
-///  - single-bit flips across the header and the first record's framing,
-///    payload edges and CRC,
-///  - u32 splices of the first record's payload-size field,
+///  - truncations and single-bit flips inside the header,
+///  - the frame family (shared with GenerateStoreMutants) on the first
+///    record frame,
 ///  - `random_bit_flips` seeded random bit flips and byte splices anywhere.
 /// The image should be a valid WAL; deterministic in
 /// (image, seed, random_bit_flips).

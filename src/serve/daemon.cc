@@ -185,8 +185,14 @@ void Daemon::ServeConnection(int fd) {
       type = request->type;
       reply = Handle(std::move(*request));
     }
-    Status written =
-        WriteFrame(fd, EncodeReply(type, reply), options_.client_timeout_ms);
+    std::vector<uint8_t> encoded = EncodeReply(type, reply);
+    if (encoded.size() > kMaxFramePayload) {  // The client would reject it.
+      const Status too_big = Status::OutOfRange(
+          "reply of " + std::to_string(encoded.size()) +
+          " bytes exceeds the frame cap; request a narrower range");
+      encoded = EncodeReply(type, ReplyFromStatus(too_big, 0));
+    }
+    Status written = WriteFrame(fd, encoded, options_.client_timeout_ms);
     if (!written.ok()) {
       if (written.code() == StatusCode::kUnavailable) {
         evicted_clients_.fetch_add(1, std::memory_order_relaxed);

@@ -10,7 +10,7 @@
 
 #include "compress/serde.h"
 #include "core/failpoint.h"
-#include "zip/crc32.h"
+#include "zip/frame.h"
 
 namespace lossyts::serve {
 
@@ -64,18 +64,23 @@ void PutValues(compress::ByteWriter& writer,
   for (const double v : values) writer.PutDouble(v);
 }
 
-Result<std::vector<double>> GetValues(compress::ByteReader& reader) {
+/// Count-prefixed doubles; the list may sit inside a larger payload.
+Result<std::vector<double>> GetDoubleList(compress::ByteReader& reader) {
   Result<uint32_t> count = reader.GetU32();
   if (!count.ok()) return count.status();
-  if (reader.remaining() != static_cast<uint64_t>(*count) * sizeof(double)) {
-    return Status::Corruption("value count disagrees with the payload");
+  if (reader.remaining() < static_cast<uint64_t>(*count) * sizeof(double)) {
+    return Status::Corruption("double list count is implausible");
   }
-  std::vector<double> values;
-  values.reserve(*count);
-  for (uint32_t i = 0; i < *count; ++i) {
-    Result<double> v = reader.GetDouble();
-    if (!v.ok()) return v.status();
-    values.push_back(*v);
+  std::vector<double> values(*count);
+  for (double& v : values) v = *reader.GetDouble();
+  return values;
+}
+
+/// A PutValues list that must also end the payload.
+Result<std::vector<double>> GetValues(compress::ByteReader& reader) {
+  Result<std::vector<double>> values = GetDoubleList(reader);
+  if (values.ok() && reader.remaining() != 0) {
+    return Status::Corruption("value count disagrees with the payload");
   }
   return values;
 }
@@ -104,30 +109,6 @@ Result<std::vector<std::string>> GetStringList(compress::ByteReader& reader) {
   return names;
 }
 
-/// Doubles inside a larger payload: count-prefixed, without GetValues'
-/// payload-exhaustion check (query rows are not the final field).
-void PutDoubleList(compress::ByteWriter& writer,
-                   const std::vector<double>& values) {
-  writer.PutU32(static_cast<uint32_t>(values.size()));
-  for (const double v : values) writer.PutDouble(v);
-}
-
-Result<std::vector<double>> GetDoubleList(compress::ByteReader& reader) {
-  Result<uint32_t> count = reader.GetU32();
-  if (!count.ok()) return count.status();
-  if (reader.remaining() < static_cast<uint64_t>(*count) * sizeof(double)) {
-    return Status::Corruption("double list count is implausible");
-  }
-  std::vector<double> values;
-  values.reserve(*count);
-  for (uint32_t i = 0; i < *count; ++i) {
-    Result<double> v = reader.GetDouble();
-    if (!v.ok()) return v.status();
-    values.push_back(*v);
-  }
-  return values;
-}
-
 void PutQueryResult(compress::ByteWriter& writer,
                     const query::QueryResult& result) {
   PutStringList(writer, result.metric_names);
@@ -137,8 +118,8 @@ void PutQueryResult(compress::ByteWriter& writer,
     PutShortString(writer, row.group);
     writer.PutU64(row.series_count);
     writer.PutU64(row.points);
-    PutDoubleList(writer, row.aggregates);
-    PutDoubleList(writer, row.metrics);
+    PutValues(writer, row.aggregates);
+    PutValues(writer, row.metrics);
   }
 }
 
@@ -655,49 +636,36 @@ Status RecvAll(int fd, uint8_t* data, size_t size, int timeout_ms,
 
 Status WriteFrame(int fd, const std::vector<uint8_t>& payload,
                   int timeout_ms) {
-  compress::ByteWriter writer;
-  writer.PutU32(kFrameMagic);
-  writer.PutU32(static_cast<uint32_t>(payload.size()));
-  writer.PutBytes(payload);
-  writer.PutU32(zip::ComputeCrc32(payload.data(), payload.size()));
-  const std::vector<uint8_t> frame = writer.Finish();
+  Result<std::vector<uint8_t>> frame =
+      zip::EncodeFrame(kFrameMagic, kMaxFramePayload, payload);
+  if (!frame.ok()) return frame.status();
 
   // Crash injection: half the frame leaves the socket and the write errors —
   // the peer must treat the torn frame as a dead connection, never as data.
   Status crash = FailPoints::Hit("socket_write");
   if (!crash.ok()) {
-    SendAll(fd, frame.data(), frame.size() / 2, timeout_ms);
+    SendAll(fd, frame->data(), frame->size() / 2, timeout_ms);
     return crash;
   }
-  return SendAll(fd, frame.data(), frame.size(), timeout_ms);
+  return SendAll(fd, frame->data(), frame->size(), timeout_ms);
 }
 
 Result<std::vector<uint8_t>> ReadFrame(int fd, int timeout_ms) {
-  uint8_t header[8];
+  uint8_t header[zip::kFrameHeaderSize];
   if (Status s = RecvAll(fd, header, sizeof(header), timeout_ms, true);
       !s.ok()) {
     return s;
   }
-  compress::ByteReader reader(header, sizeof(header));
-  const uint32_t magic = *reader.GetU32();
-  const uint32_t size = *reader.GetU32();
-  if (magic != kFrameMagic) {
-    return Status::Corruption("frame has a bad magic");
-  }
-  if (size > kMaxFramePayload) {
-    return Status::Corruption("frame size field is implausible");
-  }
-  std::vector<uint8_t> rest(static_cast<size_t>(size) + 4);
+  Result<uint32_t> size =
+      zip::ParseFrameHeader(header, kFrameMagic, kMaxFramePayload);
+  if (!size.ok()) return size.status();
+  std::vector<uint8_t> rest(*size + size_t{4});  // Payload + CRC trailer.
   if (Status s = RecvAll(fd, rest.data(), rest.size(), timeout_ms, false);
       !s.ok()) {
     return s;
   }
-  compress::ByteReader tail(rest.data() + size, 4);
-  const uint32_t crc = *tail.GetU32();
-  rest.resize(size);
-  if (crc != zip::ComputeCrc32(rest.data(), rest.size())) {
-    return Status::Corruption("frame checksum mismatch");
-  }
+  if (Status s = zip::CheckFrameCrc(rest.data(), *size); !s.ok()) return s;
+  rest.resize(*size);
   return rest;
 }
 

@@ -14,11 +14,9 @@ namespace lossyts::serve {
 
 // Wire protocol of the serve daemon, over a Unix-domain stream socket.
 //
-// Every message travels in one CRC-framed envelope (little-endian via
-// compress::ByteWriter, gzip-polynomial CRC32 — the same framing as the
-// chunk store and the WAL):
-//
-//   Frame := u32 kFrameMagic, u32 payload_size, payload, u32 crc32(payload)
+// Every message is one zip/frame.h frame (kFrameMagic, kMaxFramePayload)
+// whose payload is little-endian via compress::ByteWriter and never empty:
+// every request and reply starts with its type or kind byte.
 //
 // A client sends one request frame and reads exactly one reply frame; the
 // connection is otherwise stateless, so either side may drop it at any
@@ -29,10 +27,10 @@ namespace lossyts::serve {
 // admission-control path, never an error bit on the data).
 
 inline constexpr uint32_t kFrameMagic = 0x4D53544Cu;  // "LTSM"
-/// Frames larger than this are rejected before allocation; bounds both a
-/// corrupt length field and a hostile client.
+/// Frames larger than this are rejected before allocation: the reader sizes
+/// its buffer from the header, so the cap bounds what a corrupt length field
+/// or a hostile client can make it allocate.
 inline constexpr uint32_t kMaxFramePayload = 16u << 20;
-inline constexpr size_t kFrameOverhead = 12;  // magic + size + crc.
 
 enum class RequestType : uint8_t {
   kPing = 1,
@@ -134,15 +132,16 @@ Status StatusFromReply(const Reply& reply);
 
 /// Writes one frame, honouring `timeout_ms` per poll (the slow-client
 /// eviction clock: a peer that cannot drain a frame in time gets the
-/// connection dropped). Carries the "socket_write" failpoint — on fire, half
-/// the frame is sent and the error returns, modelling a daemon killed
-/// mid-reply. Unavailable on timeout.
+/// connection dropped). InvalidArgument, before any byte is sent, for an
+/// empty or over-cap payload. Carries the "socket_write" failpoint — on
+/// fire, half the frame is sent and the error returns, modelling a daemon
+/// killed mid-reply. Unavailable on timeout.
 Status WriteFrame(int fd, const std::vector<uint8_t>& payload,
                   int timeout_ms);
 
 /// Reads one frame (same timeout discipline). NotFound on a clean EOF at a
-/// frame boundary (the peer hung up between requests); Corruption on a torn
-/// or CRC-invalid frame; Unavailable on timeout.
+/// frame boundary (the peer hung up between requests); Corruption on a torn,
+/// empty, oversized or CRC-invalid frame; Unavailable on timeout.
 Result<std::vector<uint8_t>> ReadFrame(int fd, int timeout_ms);
 
 /// Binds and listens on a Unix-domain socket at `path`, replacing a stale

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -12,6 +13,7 @@
 #include "compress/serde.h"
 #include "core/failpoint.h"
 #include "zip/crc32.h"
+#include "zip/frame.h"
 
 namespace lossyts::serve {
 
@@ -41,129 +43,75 @@ std::vector<uint8_t> EncodeWalHeader() {
   return writer.Finish();
 }
 
-}  // namespace
-
-std::vector<uint8_t> EncodeWalRecord(const WalRecord& record) {
-  compress::ByteWriter payload;
-  payload.PutU8(static_cast<uint8_t>(record.series.size()));
-  for (const char c : record.series) {
-    payload.PutU8(static_cast<uint8_t>(c));
+/// Decodes one record payload; any defect returns Corruption, which the
+/// caller treats as "the valid prefix ends here".
+Result<WalRecord> ParseRecordPayload(const zip::Frame& frame) {
+  compress::ByteReader body(frame.payload, frame.payload_size);
+  const uint8_t id_len = *body.GetU8();  // A frame is never empty.
+  // The id is followed by 24 bytes: ts, interval, first_index and count.
+  if (id_len == 0 || body.remaining() < id_len + size_t{24}) {
+    return Status::Corruption("wal record with an empty or truncated id");
   }
-  payload.PutI64(record.first_timestamp);
-  payload.PutI32(record.interval_seconds);
-  payload.PutU64(record.first_index);
-  payload.PutU32(static_cast<uint32_t>(record.values.size()));
-  for (const double v : record.values) payload.PutDouble(v);
-  std::vector<uint8_t> body = payload.Finish();
-
-  compress::ByteWriter frame;
-  frame.PutU32(kWalRecordMagic);
-  frame.PutU32(static_cast<uint32_t>(body.size()));
-  frame.PutBytes(body);
-  frame.PutU32(zip::ComputeCrc32(body.data(), body.size()));
-  return frame.Finish();
-}
-
-namespace {
-
-/// Parses the record frame at `offset`; any defect (bad magic, bad CRC,
-/// truncation, inconsistent counts) returns Corruption, which the caller
-/// treats as "the valid prefix ends here".
-Result<WalRecord> ParseRecordAt(const std::vector<uint8_t>& bytes,
-                                size_t offset) {
-  compress::ByteReader frame(bytes.data() + offset, bytes.size() - offset);
-  Result<uint32_t> magic = frame.GetU32();
-  if (!magic.ok()) return magic.status();
-  if (*magic != kWalRecordMagic) {
-    return Status::Corruption("wal record has a bad magic");
-  }
-  Result<uint32_t> size = frame.GetU32();
-  if (!size.ok()) return size.status();
-  if (*size == 0 || *size > kWalMaxPayload) {
-    return Status::Corruption("wal record size field is implausible");
-  }
-  if (static_cast<uint64_t>(*size) + 4 > frame.remaining()) {
-    return Status::Corruption("wal record truncated");
-  }
-  const uint8_t* payload = frame.current();
-  if (Status s = frame.Skip(*size); !s.ok()) return s;
-  Result<uint32_t> crc = frame.GetU32();
-  if (!crc.ok()) return crc.status();
-  if (*crc != zip::ComputeCrc32(payload, *size)) {
-    return Status::Corruption("wal record checksum mismatch");
-  }
-
-  compress::ByteReader body(payload, *size);
   WalRecord record;
-  Result<uint8_t> id_len = body.GetU8();
-  if (!id_len.ok()) return id_len.status();
-  if (*id_len == 0) return Status::Corruption("wal record with an empty id");
-  for (uint8_t i = 0; i < *id_len; ++i) {
-    Result<uint8_t> c = body.GetU8();
-    if (!c.ok()) return c.status();
-    record.series.push_back(static_cast<char>(*c));
-  }
-  Result<int64_t> ts = body.GetI64();
-  if (!ts.ok()) return ts.status();
-  record.first_timestamp = *ts;
-  Result<int32_t> interval = body.GetI32();
-  if (!interval.ok()) return interval.status();
-  if (*interval <= 0) {
+  record.series.assign(reinterpret_cast<const char*>(body.current()), id_len);
+  (void)body.Skip(id_len);
+  record.first_timestamp = *body.GetI64();
+  record.interval_seconds = *body.GetI32();
+  record.first_index = *body.GetU64();
+  const uint32_t count = *body.GetU32();
+  if (record.interval_seconds <= 0) {
     return Status::Corruption("wal record with a non-positive interval");
   }
-  record.interval_seconds = *interval;
-  Result<uint64_t> first_index = body.GetU64();
-  if (!first_index.ok()) return first_index.status();
-  record.first_index = *first_index;
-  Result<uint32_t> count = body.GetU32();
-  if (!count.ok()) return count.status();
   // The count must account for the remaining payload exactly; anything else
   // is a corrupt or spliced length field.
-  if (*count == 0 ||
-      body.remaining() != static_cast<uint64_t>(*count) * sizeof(double)) {
+  if (count == 0 || body.remaining() != uint64_t{count} * sizeof(double)) {
     return Status::Corruption("wal record count disagrees with its payload");
   }
-  record.values.reserve(*count);
-  for (uint32_t i = 0; i < *count; ++i) {
-    Result<double> v = body.GetDouble();
-    if (!v.ok()) return v.status();
-    record.values.push_back(*v);
-  }
+  record.values.resize(count);
+  for (double& v : record.values) v = *body.GetDouble();
   return record;
 }
 
 }  // namespace
 
+Result<std::vector<uint8_t>> EncodeWalRecord(const WalRecord& record) {
+  compress::ByteWriter writer;
+  writer.PutU64(0);  // The frame header, filled in by SealFrame.
+  writer.PutU8(static_cast<uint8_t>(record.series.size()));
+  for (const char c : record.series) {
+    writer.PutU8(static_cast<uint8_t>(c));
+  }
+  writer.PutI64(record.first_timestamp);
+  writer.PutI32(record.interval_seconds);
+  writer.PutU64(record.first_index);
+  writer.PutU32(static_cast<uint32_t>(record.values.size()));
+  for (const double v : record.values) writer.PutDouble(v);
+  std::vector<uint8_t> frame = writer.Finish();
+  Status sealed = zip::SealFrame(kWalRecordMagic, kWalMaxPayload, frame);
+  if (!sealed.ok()) return sealed;
+  return frame;
+}
+
 Result<WalReplay> ReplayWalBytes(const std::vector<uint8_t>& bytes) {
-  compress::ByteReader reader(bytes);
-  Result<uint32_t> magic = reader.GetU32();
-  if (!magic.ok() || *magic != kWalMagic) {
-    return Status::Corruption("wal header has a bad magic");
-  }
-  Result<uint8_t> version = reader.GetU8();
-  if (!version.ok()) return version.status();
-  if (*version != kWalVersion) {
-    return Status::Corruption("wal version " + std::to_string(*version) +
-                              " is not supported");
-  }
-  Result<uint32_t> crc = reader.GetU32();
-  if (!crc.ok()) return crc.status();
-  const uint8_t v = *version;
-  if (*crc != zip::ComputeCrc32(&v, 1)) {
-    return Status::Corruption("wal header checksum mismatch");
+  // A header has exactly one valid form (magic, version, CRC of version).
+  const std::vector<uint8_t> header = EncodeWalHeader();
+  if (bytes.size() < kWalHeaderSize ||
+      !std::equal(header.begin(), header.end(), bytes.begin())) {
+    return Status::Corruption("wal file lacks a version " +
+                              std::to_string(kWalVersion) + " header");
   }
 
   WalReplay replay;
-  size_t pos = kWalHeaderSize;
-  while (pos + kWalFrameOverhead <= bytes.size()) {
-    Result<WalRecord> record = ParseRecordAt(bytes, pos);
-    if (!record.ok()) break;
-    pos += kWalFrameOverhead + record->values.size() * sizeof(double) +
-           record->series.size() + 25;  // id_len + ts + interval + index + n.
-    replay.records.push_back(std::move(*record));
-  }
-  replay.valid_bytes = pos;
-  replay.clean = pos == bytes.size();
+  const zip::FrameScan scan = zip::ScanFrames(
+      bytes.data(), kWalHeaderSize, bytes.size(), kWalRecordMagic,
+      kWalMaxPayload, [&replay](const zip::Frame& frame, size_t) -> Status {
+        Result<WalRecord> record = ParseRecordPayload(frame);
+        if (!record.ok()) return record.status();
+        replay.records.push_back(std::move(*record));
+        return Status::OK();
+      });
+  replay.valid_bytes = scan.valid_end;
+  replay.clean = scan.status.ok();
   return replay;
 }
 
@@ -249,7 +197,9 @@ Status WalWriter::Append(const WalRecord& record) {
   if (record.values.empty()) {
     return Status::InvalidArgument("wal record must carry at least 1 point");
   }
-  const std::vector<uint8_t> frame = EncodeWalRecord(record);
+  Result<std::vector<uint8_t>> encoded = EncodeWalRecord(record);
+  if (!encoded.ok()) return encoded.status();
+  const std::vector<uint8_t>& frame = *encoded;
 
   // Crash injection: half the frame reaches the log and the writer is dead —
   // the torn tail replay must drop, with every prior record intact.

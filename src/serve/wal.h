@@ -11,13 +11,12 @@
 namespace lossyts::serve {
 
 // Per-shard write-ahead log (all integers little-endian through
-// compress::ByteWriter, CRC32-framed with the gzip polynomial — the same
-// framing discipline as the store chunk frames and checkpoint rows):
+// compress::ByteWriter):
 //
 //   WalFile   := WalHeader WalRecord*
 //   WalHeader := u32 kWalMagic, u8 version, u32 crc32(version)
-//   WalRecord := u32 kWalRecordMagic, u32 payload_size, payload,
-//                u32 crc32(payload)
+//   WalRecord := one zip/frame.h frame: kWalRecordMagic, payload, at most
+//                kWalMaxPayload bytes
 //   payload   := u8 id_len, id bytes, i64 first_timestamp,
 //                i32 interval_seconds, u64 first_index, u32 count,
 //                count x f64 values
@@ -36,9 +35,8 @@ inline constexpr uint32_t kWalMagic = 0x5753544Cu;        // "LTSW"
 inline constexpr uint32_t kWalRecordMagic = 0x5253544Cu;  // "LTSR"
 inline constexpr uint8_t kWalVersion = 1;
 inline constexpr size_t kWalHeaderSize = 9;
-inline constexpr size_t kWalFrameOverhead = 12;  // magic + size + crc.
-/// Upper bound on one record's payload; a corrupt length field past this is
-/// rejected before any allocation.
+/// Cap on one record's payload, enforced on write and on replay so an
+/// acknowledged record always replays; 4x what one socket frame can carry.
 inline constexpr uint32_t kWalMaxPayload = 64u << 20;
 
 /// One logical append, as logged and replayed.
@@ -50,8 +48,8 @@ struct WalRecord {
   std::vector<double> values;
 };
 
-/// Serializes one record frame (magic + size + payload + CRC).
-std::vector<uint8_t> EncodeWalRecord(const WalRecord& record);
+/// Serializes one record frame; InvalidArgument past kWalMaxPayload.
+Result<std::vector<uint8_t>> EncodeWalRecord(const WalRecord& record);
 
 /// Outcome of scanning a log: the longest valid prefix of records, whether a
 /// torn tail was dropped, and the byte length of the valid prefix (the
@@ -92,8 +90,9 @@ class WalWriter {
 
   ~WalWriter();
 
-  /// Writes one record frame. Carries the "wal_write" failpoint: on fire,
-  /// half the frame reaches the file and the writer is dead.
+  /// Writes one record frame; an invalid or over-cap record is refused with
+  /// InvalidArgument before any write. Carries the "wal_write" failpoint: on
+  /// fire, half the frame reaches the file and the writer is dead.
   Status Append(const WalRecord& record);
 
   /// fsyncs everything appended so far. Carries the "wal_fsync" failpoint

@@ -22,8 +22,8 @@ namespace lossyts::store {
 //                 u32 chunk_span, u8 codec_count,
 //                 codec_count x (u8 name_len, name bytes),
 //                 u32 crc32(version..names)
-//   ChunkRecord:= u32 kChunkMagic, u32 payload_size, payload bytes,
-//                 u32 crc32(payload)
+//   ChunkRecord:= one zip/frame.h frame: kChunkMagic, payload, at most
+//                 kChunkMaxPayload bytes
 //   IndexBlock := u32 kIndexMagic, u32 entry_count,
 //                 entry_count x IndexEntry, u32 crc32(entries)
 //   IndexEntry := u64 chunk_offset, i64 first_timestamp, u32 num_points,
@@ -45,9 +45,9 @@ inline constexpr uint32_t kIndexMagic = 0x4953544Cu;   // "LTSI"
 inline constexpr uint32_t kFooterMagic = 0x4653544Cu;  // "LTSF"
 inline constexpr uint8_t kFormatVersion = 1;
 
-/// Fixed byte sizes of the framed regions (for offset arithmetic in the
-/// writer, the salvage scan and the conform store mutator).
-inline constexpr size_t kChunkFrameOverhead = 12;  // magic + size + crc.
+/// Cap on one chunk frame's payload: the whole size field, since a chunk is
+/// bounded by its file and the reader checks each size against the bytes left.
+inline constexpr uint32_t kChunkMaxPayload = 0xFFFFFFFFu;
 inline constexpr size_t kIndexEntrySize = 21;
 inline constexpr size_t kFooterSize = 20;
 

@@ -12,6 +12,7 @@
 #include "core/thread_pool.h"
 #include "store/segments.h"
 #include "zip/crc32.h"
+#include "zip/frame.h"
 
 namespace lossyts::store {
 
@@ -20,6 +21,30 @@ namespace {
 bool KnownAlgorithm(uint8_t id) {
   return id >= static_cast<uint8_t>(compress::AlgorithmId::kPmc) &&
          id <= static_cast<uint8_t>(compress::AlgorithmId::kCameo);
+}
+
+/// Validates the blob header of the chunk frame found at `offset`.
+Result<ChunkInfo> ParseChunk(const zip::Frame& frame, size_t offset,
+                             uint32_t chunk_span) {
+  if (!KnownAlgorithm(frame.payload[0])) {
+    return Status::Corruption("chunk blob has an unknown algorithm id");
+  }
+  compress::ByteReader blob(frame.payload, frame.payload_size);
+  Result<compress::BlobHeader> header = compress::ReadHeader(
+      blob, static_cast<compress::AlgorithmId>(frame.payload[0]));
+  if (!header.ok()) return header.status();
+  if (header->num_points == 0) {
+    return Status::Corruption("chunk blob with zero points");
+  }
+  if (header->num_points > chunk_span) {
+    return Status::Corruption("chunk holds more points than the chunk span");
+  }
+  if (header->interval_seconds == 0) {
+    return Status::Corruption("chunk blob with a zero sampling interval");
+  }
+  return ChunkInfo{offset,           header->first_timestamp,
+                   header->num_points, header->algorithm,
+                   frame.payload_size, header->interval_seconds};
 }
 
 }  // namespace
@@ -45,57 +70,6 @@ Result<std::unique_ptr<StoreReader>> StoreReader::OpenBytes(
   return reader;
 }
 
-Result<ChunkInfo> StoreReader::ParseFrameAt(size_t offset,
-                                            size_t strict_end) const {
-  compress::ByteReader frame(bytes_.data() + offset, strict_end - offset);
-  Result<uint32_t> magic = frame.GetU32();
-  if (!magic.ok()) return magic.status();
-  if (*magic != kChunkMagic) {
-    return Status::Corruption("chunk frame has a bad magic");
-  }
-  Result<uint32_t> payload_size = frame.GetU32();
-  if (!payload_size.ok()) return payload_size.status();
-  if (*payload_size == 0) {
-    return Status::Corruption("chunk frame with an empty payload");
-  }
-  if (static_cast<uint64_t>(*payload_size) + 4 > frame.remaining()) {
-    return Status::Corruption("chunk frame truncated");
-  }
-  const uint8_t* payload = frame.current();
-  if (Status s = frame.Skip(*payload_size); !s.ok()) return s;
-  Result<uint32_t> crc = frame.GetU32();
-  if (!crc.ok()) return crc.status();
-  if (*crc != zip::ComputeCrc32(payload, *payload_size)) {
-    return Status::Corruption("chunk payload checksum mismatch");
-  }
-
-  if (!KnownAlgorithm(payload[0])) {
-    return Status::Corruption("chunk blob has an unknown algorithm id");
-  }
-  compress::ByteReader blob(payload, *payload_size);
-  Result<compress::BlobHeader> header = compress::ReadHeader(
-      blob, static_cast<compress::AlgorithmId>(payload[0]));
-  if (!header.ok()) return header.status();
-  if (header->num_points == 0) {
-    return Status::Corruption("chunk blob with zero points");
-  }
-  if (header->num_points > header_.chunk_span) {
-    return Status::Corruption("chunk holds more points than the chunk span");
-  }
-  if (header->interval_seconds == 0) {
-    return Status::Corruption("chunk blob with a zero sampling interval");
-  }
-
-  ChunkInfo info;
-  info.offset = offset;
-  info.first_timestamp = header->first_timestamp;
-  info.num_points = header->num_points;
-  info.algorithm = header->algorithm;
-  info.payload_size = *payload_size;
-  info.interval_seconds = header->interval_seconds;
-  return info;
-}
-
 Status StoreReader::Load(std::vector<uint8_t> bytes) {
   bytes_ = std::move(bytes);
   compress::ByteReader reader(bytes_);
@@ -111,128 +85,101 @@ Status StoreReader::Load(std::vector<uint8_t> bytes) {
   if (bytes_.size() >= data_begin + kFooterSize) {
     compress::ByteReader footer(bytes_.data() + (bytes_.size() - kFooterSize),
                                 kFooterSize);
-    Result<uint32_t> magic = footer.GetU32();
+    const uint32_t magic = *footer.GetU32();
     const uint8_t* body = footer.current();
-    Result<uint64_t> off = footer.GetU64();
-    Result<uint32_t> count = footer.GetU32();
-    Result<uint32_t> crc = footer.GetU32();
-    if (magic.ok() && *magic == kFooterMagic && off.ok() && count.ok() &&
-        crc.ok() && *crc == zip::ComputeCrc32(body, 12)) {
-      footer_valid = true;
-      index_offset = *off;
-      footer_chunks = *count;
-    }
+    index_offset = *footer.GetU64();
+    footer_chunks = *footer.GetU32();
+    footer_valid = magic == kFooterMagic &&
+                   *footer.GetU32() == zip::ComputeCrc32(body, 12);
   }
 
+  // Complete mode: the index must parse, the chunk scan must consume
+  // exactly the frame region, and the two must agree entry-for-entry.
+  std::vector<ChunkInfo> expected;
   if (footer_valid) {
-    // Complete mode: the index must parse, the chunk scan must consume
-    // exactly the frame region, and the two must agree entry-for-entry.
     if (index_offset < data_begin ||
         index_offset > bytes_.size() - kFooterSize) {
       return Status::Corruption("store footer points outside the file");
     }
     compress::ByteReader index(bytes_.data() + index_offset,
                                bytes_.size() - kFooterSize - index_offset);
-    Result<uint32_t> magic = index.GetU32();
-    if (!magic.ok()) return magic.status();
-    if (*magic != kIndexMagic) {
+    if (index.remaining() < 8 || *index.GetU32() != kIndexMagic) {
       return Status::Corruption("store index has a bad magic");
     }
-    Result<uint32_t> entry_count = index.GetU32();
-    if (!entry_count.ok()) return entry_count.status();
-    if (*entry_count != footer_chunks) {
+    const uint32_t entry_count = *index.GetU32();
+    if (entry_count != footer_chunks) {
       return Status::Corruption("store index and footer disagree on count");
     }
     const uint64_t entries_size =
-        static_cast<uint64_t>(*entry_count) * kIndexEntrySize;
+        static_cast<uint64_t>(entry_count) * kIndexEntrySize;
     if (index.remaining() != entries_size + 4) {
       return Status::Corruption("store index size is inconsistent");
     }
+    // The size check above guarantees every read below succeeds.
     const uint8_t* entries_begin = index.current();
-    std::vector<ChunkInfo> expected;
-    expected.reserve(std::min<size_t>(*entry_count, size_t{1} << 16));
-    for (uint32_t i = 0; i < *entry_count; ++i) {
+    expected.reserve(std::min<size_t>(entry_count, size_t{1} << 16));
+    for (uint32_t i = 0; i < entry_count; ++i) {
       ChunkInfo info;
-      Result<uint64_t> off = index.GetU64();
-      if (!off.ok()) return off.status();
-      info.offset = *off;
-      Result<int64_t> ts = index.GetI64();
-      if (!ts.ok()) return ts.status();
-      info.first_timestamp = *ts;
-      Result<uint32_t> n = index.GetU32();
-      if (!n.ok()) return n.status();
-      info.num_points = *n;
-      Result<uint8_t> alg = index.GetU8();
-      if (!alg.ok()) return alg.status();
-      if (!KnownAlgorithm(*alg)) {
+      info.offset = *index.GetU64();
+      info.first_timestamp = *index.GetI64();
+      info.num_points = *index.GetU32();
+      const uint8_t alg = *index.GetU8();
+      if (!KnownAlgorithm(alg)) {
         return Status::Corruption("store index entry has an unknown codec");
       }
-      info.algorithm = static_cast<compress::AlgorithmId>(*alg);
+      info.algorithm = static_cast<compress::AlgorithmId>(alg);
       expected.push_back(info);
     }
-    Result<uint32_t> crc = index.GetU32();
-    if (!crc.ok()) return crc.status();
-    if (*crc != zip::ComputeCrc32(entries_begin, entries_size)) {
+    if (*index.GetU32() != zip::ComputeCrc32(entries_begin, entries_size)) {
       return Status::Corruption("store index checksum mismatch");
     }
-
-    size_t pos = data_begin;
-    for (size_t i = 0; i < expected.size(); ++i) {
-      if (pos >= index_offset) {
-        return Status::Corruption("store index lists more chunks than exist");
-      }
-      Result<ChunkInfo> info = ParseFrameAt(pos, index_offset);
-      if (!info.ok()) return info.status();
-      if (info->offset != expected[i].offset ||
-          info->first_timestamp != expected[i].first_timestamp ||
-          info->num_points != expected[i].num_points ||
-          info->algorithm != expected[i].algorithm) {
-        return Status::Corruption("store index disagrees with chunk " +
-                                  std::to_string(i));
-      }
-      if (chunks_.empty()) {
-        start_timestamp_ = info->first_timestamp;
-        interval_ = info->interval_seconds;
-      } else {
-        const ChunkInfo& prev = chunks_.back();
-        if (info->interval_seconds != interval_ ||
-            info->first_timestamp !=
-                prev.first_timestamp +
-                    static_cast<int64_t>(prev.num_points) * interval_) {
-          return Status::Corruption(
-              "store chunks do not chain on the time grid");
-        }
-      }
-      chunks_.push_back(*info);
-      pos += kChunkFrameOverhead + info->payload_size;
-    }
-    if (pos != index_offset) {
-      return Status::Corruption("store has chunk data the index omits");
-    }
-    clean_ = true;
-  } else {
-    // Salvage mode: keep the longest valid frame prefix, drop the torn tail.
-    size_t pos = data_begin;
-    while (pos + kChunkFrameOverhead <= bytes_.size()) {
-      Result<ChunkInfo> info = ParseFrameAt(pos, bytes_.size());
-      if (!info.ok()) break;
-      if (chunks_.empty()) {
-        start_timestamp_ = info->first_timestamp;
-        interval_ = info->interval_seconds;
-      } else {
-        const ChunkInfo& prev = chunks_.back();
-        if (info->interval_seconds != interval_ ||
-            info->first_timestamp !=
-                prev.first_timestamp +
-                    static_cast<int64_t>(prev.num_points) * interval_) {
-          break;
-        }
-      }
-      chunks_.push_back(*info);
-      pos += kChunkFrameOverhead + info->payload_size;
-    }
-    clean_ = false;
   }
+
+  // One scan serves both modes: salvage keeps the longest valid prefix of
+  // chunk frames up to EOF, complete mode needs the frames to tile the data
+  // region exactly and to match the index.
+  const size_t data_end = footer_valid ? index_offset : bytes_.size();
+  const zip::FrameScan scan = zip::ScanFrames(
+      bytes_.data(), data_begin, data_end, kChunkMagic, kChunkMaxPayload,
+      [&](const zip::Frame& frame, size_t offset) -> Status {
+        Result<ChunkInfo> info = ParseChunk(frame, offset, header_.chunk_span);
+        if (!info.ok()) return info.status();
+        if (chunks_.empty()) {
+          start_timestamp_ = info->first_timestamp;
+          interval_ = info->interval_seconds;
+        } else {
+          const ChunkInfo& prev = chunks_.back();
+          if (info->interval_seconds != interval_ ||
+              info->first_timestamp !=
+                  prev.first_timestamp +
+                      static_cast<int64_t>(prev.num_points) * interval_) {
+            return Status::Corruption(
+                "store chunks do not chain on the time grid");
+          }
+        }
+        if (footer_valid) {
+          const size_t i = chunks_.size();
+          if (i == expected.size()) {
+            return Status::Corruption("store has chunk data the index omits");
+          }
+          if (info->offset != expected[i].offset ||
+              info->first_timestamp != expected[i].first_timestamp ||
+              info->num_points != expected[i].num_points ||
+              info->algorithm != expected[i].algorithm) {
+            return Status::Corruption("store index disagrees with chunk " +
+                                      std::to_string(i));
+          }
+        }
+        chunks_.push_back(*info);
+        return Status::OK();
+      });
+  if (footer_valid) {
+    if (!scan.status.ok()) return scan.status;
+    if (chunks_.size() != expected.size()) {
+      return Status::Corruption("store index lists more chunks than exist");
+    }
+  }
+  clean_ = footer_valid;
 
   chunk_start_index_.reserve(chunks_.size());
   for (const ChunkInfo& chunk : chunks_) {
@@ -250,7 +197,8 @@ int64_t StoreReader::last_timestamp() const {
 
 std::vector<uint8_t> StoreReader::ChunkPayload(size_t index) const {
   const ChunkInfo& chunk = chunks_[index];
-  const uint8_t* begin = bytes_.data() + chunk.offset + 8;
+  const uint8_t* begin =
+      bytes_.data() + chunk.offset + zip::kFrameHeaderSize;
   return std::vector<uint8_t>(begin, begin + chunk.payload_size);
 }
 

@@ -112,10 +112,6 @@ class StoreReader {
   StoreReader() = default;
 
   Status Load(std::vector<uint8_t> bytes);
-  /// Parses and validates the frame at `offset`; `strict_end` is the first
-  /// byte the frame must not cross (index start in complete mode, EOF in
-  /// salvage mode).
-  Result<ChunkInfo> ParseFrameAt(size_t offset, size_t strict_end) const;
 
   std::vector<uint8_t> bytes_;
   StoreHeader header_;

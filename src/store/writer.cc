@@ -12,6 +12,7 @@
 #include "compress/serde.h"
 #include "core/failpoint.h"
 #include "zip/crc32.h"
+#include "zip/frame.h"
 
 namespace lossyts::store {
 
@@ -132,19 +133,6 @@ Status StoreWriter::WriteAll(const std::vector<uint8_t>& bytes) {
   return Status::OK();
 }
 
-void StoreWriter::WriteTorn(const std::vector<uint8_t>& bytes) {
-  size_t written = 0;
-  const size_t half = bytes.size() / 2;
-  while (written < half) {
-    const ssize_t n = ::write(fd_, bytes.data() + written, half - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;  // The writer is dead anyway; best-effort torn tail.
-    }
-    written += static_cast<size_t>(n);
-  }
-}
-
 Status StoreWriter::SyncFile() {
   if (!options_.sync) return Status::OK();
   if (::fsync(fd_) != 0) {
@@ -186,16 +174,12 @@ Status StoreWriter::WriteChunk(const std::vector<double>& values,
         "and no lossless codec in the list?)");
   }
 
-  compress::ByteWriter frame;
-  frame.PutU32(kChunkMagic);
-  if (Status s = compress::PutCountU32(frame, best.size(), "chunk payload");
-      !s.ok()) {
+  Result<std::vector<uint8_t>> bytes =
+      zip::EncodeFrame(kChunkMagic, kChunkMaxPayload, best);
+  if (!bytes.ok()) {
     failed_ = true;
-    return s;
+    return bytes.status();
   }
-  frame.PutBytes(best);
-  frame.PutU32(zip::ComputeCrc32(best.data(), best.size()));
-  std::vector<uint8_t> bytes = frame.Finish();
 
   ChunkInfo info;
   info.offset = offset_;
@@ -210,12 +194,13 @@ Status StoreWriter::WriteChunk(const std::vector<double>& values,
   // dead — exactly the state a killed process leaves behind.
   Status crash = FailPoints::Hit("store_write");
   if (!crash.ok()) {
+    bytes->resize(bytes->size() / 2);
+    (void)WriteAll(*bytes);  // Best effort: the writer is dead either way.
     failed_ = true;
-    WriteTorn(bytes);
     return crash;
   }
 
-  if (Status s = WriteAll(bytes); !s.ok()) return s;
+  if (Status s = WriteAll(*bytes); !s.ok()) return s;
   chunks_.push_back(info);
   points_flushed_ += values.size();
   return Status::OK();

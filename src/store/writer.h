@@ -67,9 +67,6 @@ class StoreWriter {
   Status WriteChunk(const std::vector<double>& values,
                     int64_t first_timestamp);
   Status WriteAll(const std::vector<uint8_t>& bytes);
-  /// Writes a prefix of `bytes` without error handling (the torn-frame
-  /// crash model of the "store_write" failpoint).
-  void WriteTorn(const std::vector<uint8_t>& bytes);
   /// fsyncs the file when options_.sync is set; a no-op otherwise.
   Status SyncFile();
 

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -18,6 +19,7 @@
 #include "serve/daemon.h"
 #include "serve/protocol.h"
 #include "test_util.h"
+#include "zip/frame.h"
 
 namespace lossyts::serve {
 namespace {
@@ -168,7 +170,7 @@ TEST_F(ServeDaemonTest, FramesSurviveTheWireAndRejectCorruption) {
     int raw[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, raw), 0);
     ASSERT_TRUE(WriteFrame(raw[0], payload, 1000).ok());
-    frame_bytes.resize(payload.size() + kFrameOverhead);
+    frame_bytes.resize(payload.size() + zip::kFrameOverhead);
     ASSERT_EQ(::recv(raw[1], frame_bytes.data(), frame_bytes.size(), 0),
               static_cast<ssize_t>(frame_bytes.size()));
     ::close(raw[0]);
@@ -183,6 +185,59 @@ TEST_F(ServeDaemonTest, FramesSurviveTheWireAndRejectCorruption) {
   ::close(fds[0]);
   EXPECT_EQ(ReadFrame(fds[1], 1000).status().code(), StatusCode::kNotFound);
   ::close(fds[1]);
+}
+
+TEST_F(ServeDaemonTest, WriteFrameRefusesPayloadsItsReaderWouldReject) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  // Drain the peer so a writer that does send can never block.
+  size_t received = 0;
+  std::thread drain([&] {
+    uint8_t buffer[4096];
+    ssize_t n;
+    while ((n = ::recv(fds[1], buffer, sizeof(buffer), 0)) > 0) {
+      received += static_cast<size_t>(n);
+    }
+  });
+  const std::vector<uint8_t> oversized(kMaxFramePayload + 1, 0x11);
+  EXPECT_EQ(WriteFrame(fds[0], oversized, 1000).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(WriteFrame(fds[0], {}, 1000).code(), StatusCode::kInvalidArgument);
+  ::close(fds[0]);
+  drain.join();
+  EXPECT_EQ(received, 0u);  // Neither refusal put a byte on the wire.
+  ::close(fds[1]);
+}
+
+// magic "LTSM", payload size 0, CRC-32 of no bytes (0).
+constexpr uint8_t kEmptyFrame[] = {0x4C, 0x54, 0x53, 0x4D, 0, 0, 0, 0,
+                                   0,    0,    0,    0};
+
+TEST_F(ServeDaemonTest, EmptyFrameIsMalformed) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ASSERT_EQ(::send(fds[0], kEmptyFrame, sizeof(kEmptyFrame), MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(kEmptyFrame)));
+  EXPECT_EQ(ReadFrame(fds[1], 1000).status().code(), StatusCode::kCorruption);
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+TEST_F(ServeDaemonTest, EmptyFrameDropsTheConnectionWithoutReply) {
+  const std::string dir = TempDir("daemon_empty_frame");
+  auto daemon = Daemon::Start(TestOptions(dir));
+  ASSERT_TRUE(daemon.ok());
+  auto fd = ConnectUnix((*daemon)->socket_path());
+  ASSERT_TRUE(fd.ok());
+  ASSERT_EQ(::send(*fd, kEmptyFrame, sizeof(kEmptyFrame), MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(kEmptyFrame)));
+  char byte = 0;
+  EXPECT_LE(::recv(*fd, &byte, 1, 0), 0);  // No error reply, just EOF.
+  ::close(*fd);
+  auto client = Client::Connect((*daemon)->socket_path());
+  ASSERT_TRUE(client.ok());
+  EXPECT_TRUE((*client)->Ping().ok());
+  ASSERT_TRUE((*daemon)->Stop().ok());
 }
 
 // --- The daemon itself ----------------------------------------------------
@@ -384,6 +439,48 @@ TEST_F(ServeDaemonTest, SlowClientsAreEvicted) {
   auto stats = (*client)->Stats();
   ASSERT_TRUE(stats.ok());
   EXPECT_GE(stats->evicted_clients, 1u);
+  ASSERT_TRUE((*daemon)->Stop().ok());
+}
+
+TEST_F(ServeDaemonTest, OversizedReplyBecomesOutOfRangeOnAnOpenConnection) {
+  const std::string dir = TempDir("daemon_oversized_reply");
+  // No checkpoint and generous clocks: only the reply size is under test,
+  // and sanitizer builds move these megabytes slowly.
+  DaemonOptions options = TestOptions(dir);
+  options.shard.flush_wal_bytes = uint64_t{1} << 30;
+  options.append_deadline_ms = 120000;
+  options.client_timeout_ms = 120000;
+  auto daemon = Daemon::Start(options);
+  ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
+  ClientOptions client_options;
+  client_options.timeout_ms = 120000;
+  auto client = Client::Connect((*daemon)->socket_path(), client_options);
+  ASSERT_TRUE(client.ok());
+
+  // A ReadRange reply carries 8 bytes per point, so a series a little past
+  // kMaxFramePayload / 8 points cannot be read back in one frame.
+  const size_t total = kMaxFramePayload / sizeof(double) + 4096;
+  const size_t batch = size_t{1} << 19;
+  for (size_t first = 0; first < total; first += batch) {
+    std::vector<double> values(std::min(batch, total - first));
+    for (size_t i = 0; i < values.size(); ++i) {
+      values[i] = static_cast<double>((first + i) % 97);
+    }
+    const Status appended = (*client)->Append(
+        "big", static_cast<int64_t>(first) * 60, 60, values);
+    ASSERT_TRUE(appended.ok()) << appended.ToString();
+  }
+  const int64_t last = static_cast<int64_t>(total - 1) * 60;
+  auto all = (*client)->ReadRange("big", 0, last);
+  EXPECT_EQ(all.status().code(), StatusCode::kOutOfRange)
+      << all.status().ToString();
+
+  // The same connection still answers, including a range that fits.
+  EXPECT_TRUE((*client)->Ping().ok());
+  auto tail = (*client)->ReadRange("big", last - 9 * 60, last);
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  ASSERT_EQ(tail->size(), 10u);
+  EXPECT_EQ(tail->values().back(), static_cast<double>((total - 1) % 97));
   ASSERT_TRUE((*daemon)->Stop().ok());
 }
 

@@ -112,6 +112,35 @@ TEST_F(WalTest, TornTailIsDroppedAndTruncatedOnReopen) {
   EXPECT_EQ(again->records[1].first_index, 4u);
 }
 
+TEST_F(WalTest, OversizedAppendIsRefusedAndTheLogStaysUsable) {
+  const std::string path = TempPath("wal_oversized.log");
+  std::remove(path.c_str());
+  auto writer = WalWriter::Open(path, kWalHeaderSize);
+  ASSERT_TRUE(writer.ok());
+  const WalRecord a = MakeRecord("cpu", 0, 5);
+  ASSERT_TRUE((*writer)->Append(a).ok());
+  const uint64_t before = (*writer)->bytes();
+
+  // kWalMaxPayload / 8 values alone fill the cap; the record's fixed fields
+  // push its payload past it.
+  WalRecord huge = MakeRecord("cpu", 5, 1);
+  huge.values.assign(kWalMaxPayload / sizeof(double), 0.5);
+  EXPECT_EQ((*writer)->Append(huge).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ((*writer)->bytes(), before);
+
+  // Nothing reached the file, and the writer is still alive.
+  const WalRecord b = MakeRecord("cpu", 5, 3);
+  ASSERT_TRUE((*writer)->Append(b).ok());
+  ASSERT_TRUE((*writer)->Sync().ok());
+  auto replay = ReplayWalFile(path);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  EXPECT_TRUE(replay->clean);
+  EXPECT_EQ(replay->valid_bytes, (*writer)->bytes());
+  ASSERT_EQ(replay->records.size(), 2u);
+  EXPECT_EQ(replay->records[0].values, a.values);
+  EXPECT_EQ(replay->records[1].values, b.values);
+}
+
 TEST_F(WalTest, FsyncFailpointKillsTheWriterBeforeTheSync) {
   const std::string path = TempPath("wal_fsync.log");
   std::remove(path.c_str());

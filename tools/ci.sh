@@ -282,6 +282,10 @@ run_config() {
 }
 
 run_config plain ""
+# Query pushdown floor, plain leg only: micro_query checks its 3x speedup
+# over a naive decode loop against the best of interleaved fast/naive pairs,
+# a timing ratio the sanitizer builds would distort.
+"${BUILD_ROOT}/plain/bench/micro_query"
 # Order and parallelism guard: the whole suite again in a random order, three
 # times over, so a test that leans on another's files or on running first
 # fails CI rather than a later run.
