@@ -8,13 +8,13 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "analysis/change_detection.h"
 #include "compress/pipeline.h"
+#include "core/flags.h"
 #include "core/rng.h"
 #include "eval/compression_sweep.h"
 #include "eval/grid.h"
@@ -42,32 +42,39 @@ inline eval::SweepOptions DefaultSweepOptions() {
   return options;
 }
 
-/// Cache flags shared by every bench:
-///   --resume        salvage and resume a partial grid checkpoint (default)
-///   --fresh         delete the checkpoint and recompute from scratch
-///   --cache <path>  checkpoint location (default DefaultGridCachePath())
-///   --jobs N        worker threads for the sweep (1 = sequential, 0 = all
-///                   hardware threads); output is identical for every N
+/// Parses a bench binary's flags. An unknown flag, a missing value, a
+/// malformed number or a stray argument prints the table and exits 2.
+inline void ParseFlagsOrExit(int argc, char** argv,
+                             const std::vector<flags::Flag>& table) {
+  const Status s = flags::Parse(
+      table, std::vector<std::string>(argv + 1, argv + argc), nullptr);
+  if (s.ok()) return;
+  std::fprintf(stderr, "%s: %s\nusage: %s [flags]\n%s", argv[0],
+               s.message().c_str(), argv[0], flags::Usage(table, 2).c_str());
+  std::exit(2);
+}
+
+/// The cache flags every grid- or sweep-consuming bench takes.
 struct BenchFlags {
   bool fresh = false;
   std::string cache_path = eval::DefaultGridCachePath();
   int jobs = 1;
 };
 
-inline BenchFlags ParseBenchFlags(int argc, char** argv) {
-  BenchFlags flags;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fresh") == 0) {
-      flags.fresh = true;
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
-      flags.fresh = false;
-    } else if (std::strcmp(argv[i], "--cache") == 0 && i + 1 < argc) {
-      flags.cache_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      flags.jobs = std::atoi(argv[++i]);
-    }
-  }
-  return flags;
+inline BenchFlags ParseCacheFlags(int argc, char** argv) {
+  BenchFlags parsed;
+  ParseFlagsOrExit(
+      argc, argv,
+      {flags::Switch("--resume", "resume the checkpoint (default)",
+                     &parsed.fresh, false),
+       flags::Switch("--fresh", "recompute from scratch", &parsed.fresh,
+                     true),
+       flags::Value("--cache", "<path>", "checkpoint file",
+                    &parsed.cache_path),
+       flags::Value("--jobs", "N",
+                    "worker threads (0 = all); output is identical for any N",
+                    &parsed.jobs)});
+  return parsed;
 }
 
 /// Prints a one-line-per-cell failure report to stderr; quiet when clean.
@@ -90,12 +97,12 @@ inline void ReportGridFailures(const std::vector<eval::GridRecord>& records) {
 /// the per-table aggregations below only ever see completed measurements.
 inline Result<std::vector<eval::GridRecord>> LoadBenchGrid(int argc,
                                                            char** argv) {
-  const BenchFlags flags = ParseBenchFlags(argc, argv);
-  if (flags.fresh) std::remove(flags.cache_path.c_str());
+  const BenchFlags parsed = ParseCacheFlags(argc, argv);
+  if (parsed.fresh) std::remove(parsed.cache_path.c_str());
   eval::GridOptions options = DefaultGridOptions();
-  options.jobs = flags.jobs;
+  options.jobs = parsed.jobs;
   Result<std::vector<eval::GridRecord>> grid =
-      eval::LoadOrRunGrid(options, flags.cache_path);
+      eval::LoadOrRunGrid(options, parsed.cache_path);
   if (!grid.ok()) return grid.status();
   ReportGridFailures(*grid);
   std::vector<eval::GridRecord> ok_records;
@@ -110,11 +117,11 @@ inline Result<std::vector<eval::GridRecord>> LoadBenchGrid(int argc,
 /// --fresh / --jobs (the sweep cache lives at DefaultSweepCachePath()).
 inline Result<std::vector<eval::SweepRecord>> LoadBenchSweep(int argc,
                                                              char** argv) {
-  const BenchFlags flags = ParseBenchFlags(argc, argv);
+  const BenchFlags parsed = ParseCacheFlags(argc, argv);
   const std::string cache_path = eval::DefaultSweepCachePath();
-  if (flags.fresh) std::remove(cache_path.c_str());
+  if (parsed.fresh) std::remove(cache_path.c_str());
   eval::SweepOptions options = DefaultSweepOptions();
-  options.jobs = flags.jobs;
+  options.jobs = parsed.jobs;
   return eval::LoadOrRunSweep(options, cache_path);
 }
 

@@ -37,6 +37,7 @@
 #include "compress/pmc.h"
 #include "compress/swing.h"
 #include "compress/sz.h"
+#include "bench_common.h"
 #include "core/rng.h"
 #include "zip/bitstream.h"
 #include "zip/gzip.h"
@@ -50,13 +51,6 @@ using lossyts::TimeSeries;
 double MsSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
-}
-
-int ParseIntFlag(int argc, char** argv, const char* flag, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return std::atoi(argv[i + 1]);
-  }
-  return fallback;
 }
 
 TimeSeries MakeSeries(size_t n) {
@@ -475,8 +469,12 @@ bool ReportGzip(size_t bytes, int reps) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int points = ParseIntFlag(argc, argv, "--points", 1 << 17);
-  const int reps = ParseIntFlag(argc, argv, "--reps", 5);
+  int points = 1 << 17;
+  int reps = 5;
+  lossyts::bench::ParseFlagsOrExit(
+      argc, argv,
+      {lossyts::flags::Value("--points", "N", "series length", &points),
+       lossyts::flags::Value("--reps", "N", "timed repetitions", &reps)});
   double floor = 4.0;
   if (const char* env = std::getenv("LOSSYTS_MICRO_COMPRESSION_SPEEDUP")) {
     if (std::atof(env) > 0) floor = std::atof(env);

@@ -21,10 +21,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "query/query.h"
 #include "store/format.h"
 #include "store/reader.h"
@@ -40,13 +40,6 @@ using lossyts::TimeSeries;
 double MsSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
-}
-
-int ParseIntFlag(int argc, char** argv, const char* flag, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return std::atoi(argv[i + 1]);
-  }
-  return fallback;
 }
 
 /// Smooth slow sine with a per-series phase: PMC at a loose bound collapses
@@ -95,10 +88,16 @@ Status BuildStoreDir(const std::string& dir, int series, int points) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int series = ParseIntFlag(argc, argv, "--series", 16);
-  const int points = ParseIntFlag(argc, argv, "--points", 1 << 16);
-  const int jobs = ParseIntFlag(argc, argv, "--jobs", 4);
-  const int reps = ParseIntFlag(argc, argv, "--reps", 5);
+  int series = 16;
+  int points = 1 << 16;
+  int jobs = 4;
+  int reps = 5;
+  lossyts::bench::ParseFlagsOrExit(
+      argc, argv,
+      {lossyts::flags::Value("--series", "N", "store pairs", &series),
+       lossyts::flags::Value("--points", "N", "points per series", &points),
+       lossyts::flags::Value("--jobs", "N", "fan-out threads", &jobs),
+       lossyts::flags::Value("--reps", "N", "timed pairs", &reps)});
   double speedup_floor = 3.0;
   if (const char* env = std::getenv("LOSSYTS_MICRO_QUERY_SPEEDUP")) {
     if (std::atof(env) > 0) speedup_floor = std::atof(env);

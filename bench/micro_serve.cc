@@ -16,12 +16,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
 
@@ -189,28 +189,21 @@ WorkloadResult RunWorkload(int jobs, int writers, int batches, int points) {
   return result;
 }
 
-int ParseIntFlag(int argc, char** argv, const char* flag, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return std::atoi(argv[i + 1]);
-  }
-  return fallback;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::vector<int> jobs_values = {1, 2};
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0) {
-      jobs_values.clear();
-      for (const char* p = argv[i + 1]; *p != '\0'; ++p) {
-        if (*p >= '0' && *p <= '9') jobs_values.push_back(*p - '0');
-      }
-    }
-  }
-  const int writers = ParseIntFlag(argc, argv, "--writers", 2);
-  const int batches = ParseIntFlag(argc, argv, "--batches", 40);
-  const int points = ParseIntFlag(argc, argv, "--points", 32);
+  int writers = 2;
+  int batches = 40;
+  int points = 32;
+  lossyts::bench::ParseFlagsOrExit(
+      argc, argv,
+      {lossyts::flags::Value("--jobs", "1,2", "daemon threads, one run each",
+                             &jobs_values),
+       lossyts::flags::Value("--writers", "N", "client threads", &writers),
+       lossyts::flags::Value("--batches", "N", "appends per writer",
+                             &batches),
+       lossyts::flags::Value("--points", "N", "points per append", &points)});
   double p99_floor_ms = 250.0;
   if (const char* env = std::getenv("LOSSYTS_MICRO_SERVE_P99_MS")) {
     if (std::atof(env) > 0) p99_floor_ms = std::atof(env);

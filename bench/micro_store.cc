@@ -19,11 +19,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/rng.h"
 #include "store/query.h"
 #include "store/reader.h"
@@ -38,13 +38,6 @@ using lossyts::TimeSeries;
 double MsSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
-}
-
-int ParseIntFlag(int argc, char** argv, const char* flag, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return std::atoi(argv[i + 1]);
-  }
-  return fallback;
 }
 
 TimeSeries MakeSeries(size_t n) {
@@ -123,8 +116,12 @@ void ReportPointReads(const char* codec, lossyts::store::StoreReader& reader,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int points = ParseIntFlag(argc, argv, "--points", 1 << 16);
-  const int reps = ParseIntFlag(argc, argv, "--reps", 5);
+  int points = 1 << 16;
+  int reps = 5;
+  lossyts::bench::ParseFlagsOrExit(
+      argc, argv,
+      {lossyts::flags::Value("--points", "N", "series length", &points),
+       lossyts::flags::Value("--reps", "N", "timed repetitions", &reps)});
   double floor = 5.0;
   if (const char* env = std::getenv("LOSSYTS_MICRO_STORE_SPEEDUP")) {
     if (std::atof(env) > 0) floor = std::atof(env);

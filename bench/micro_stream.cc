@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <thread>
@@ -127,28 +126,12 @@ int main(int argc, char** argv) {
   std::vector<int> jobs_list = {1, 2};
   int series_count = 4;
   size_t points = 6000;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs_list.clear();
-      std::string text = argv[++i];
-      size_t pos = 0;
-      while (pos < text.size()) {
-        size_t comma = text.find(',', pos);
-        if (comma == std::string::npos) comma = text.size();
-        jobs_list.push_back(std::atoi(text.substr(pos, comma - pos).c_str()));
-        pos = comma + 1;
-      }
-    } else if (std::strcmp(argv[i], "--series") == 0 && i + 1 < argc) {
-      series_count = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--points") == 0 && i + 1 < argc) {
-      points = static_cast<size_t>(std::atoi(argv[++i]));
-    } else {
-      std::fprintf(stderr,
-                   "usage: micro_stream [--jobs 1,2] [--series N] "
-                   "[--points N]\n");
-      return 2;
-    }
-  }
+  bench::ParseFlagsOrExit(
+      argc, argv,
+      {flags::Value("--jobs", "1,2", "worker threads, one run each",
+                    &jobs_list),
+       flags::Value("--series", "N", "drifting series", &series_count),
+       flags::Value("--points", "N", "points per series", &points)});
   double delay_floor = 120.0;
   if (const char* env = std::getenv("LOSSYTS_MICRO_STREAM_DELAY")) {
     delay_floor = std::strtod(env, nullptr);

@@ -12,6 +12,17 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_ROOT="${1:-ci-build}"
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
+# Flag guard: flags are parsed by the one table-driven parser in
+# src/core/flags.h, so a hand-written flag comparison must not come back
+# under tools/ or bench/.
+flag_guard() {
+  if grep -rnE '==[[:space:]]*"--|strcmp[[:space:]]*[(][[:space:]]*argv' \
+      "${ROOT}/tools" "${ROOT}/bench"; then
+    echo "flag_guard: parse flags with src/core/flags.h, not by hand"
+    return 1
+  fi
+}
+
 # Serve-daemon crash smoke, run in every leg (so the WAL replay and socket
 # paths are also sanitizer-checked): start `lossyts serve`, drive mixed
 # traffic, SIGKILL the daemon mid-ingest, reopen the catalog and verify that
@@ -281,6 +292,7 @@ run_config() {
   stream_smoke "${dir}"
 }
 
+flag_guard
 run_config plain ""
 # Query pushdown floor, plain leg only: micro_query checks its 3x speedup
 # over a naive decode loop against the best of interleaved fast/naive pairs,

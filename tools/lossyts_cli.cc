@@ -1,14 +1,6 @@
-// lossyts — command-line front end for the compression library.
-//
-//   lossyts compress <PMC|SWING|SZ|PPA|LFZIP|CAMEO|GORILLA|CHIMP> <eb> <in.csv> <out.lts>
-//   lossyts decompress <in.lts> <out.csv>
-//   lossyts stats <in.csv | dataset-name>
-//   lossyts sweep <in.csv | dataset-name>
-//   lossyts grid [--resume] [--fresh] [--cache <path>] [--jobs N] [filters...]
-//   lossyts conform [--cases N] [--seed S] [--codecs a,b] [--jobs N] [...]
-//   lossyts numcheck [--iters N] [--seed S] [--ops a,b] [--models a,b] [...]
-//   lossyts store ingest|query|stats|verify|ingest-grid ...
-//   lossyts stream <in.csv | dataset-name> [--codec PMC|SWING] [...]
+// lossyts — command-line front end for the compression library. Run it with
+// no arguments for the usage, which is generated from the command table at
+// the end of this file.
 //
 // Compressed files are the library's self-describing blobs wrapped in gzip
 // (the paper's measurement format), so `decompress` needs no codec argument.
@@ -20,7 +12,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -28,6 +19,7 @@
 
 #include "compress/pipeline.h"
 #include "conform/harness.h"
+#include "core/flags.h"
 #include "core/simd.h"
 #include "data/csv.h"
 #include "data/datasets.h"
@@ -50,63 +42,39 @@ using namespace lossyts;
 
 namespace {
 
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage:\n"
-      "  lossyts compress <PMC|SWING|SZ|PPA|LFZIP|CAMEO|GORILLA|CHIMP> <eb> "
-      "<in.csv> "
-      "<out.lts>\n"
-      "  lossyts decompress <in.lts> <out.csv>\n"
-      "  lossyts stats <in.csv | dataset-name>\n"
-      "  lossyts sweep <in.csv | dataset-name>\n"
-      "  lossyts grid [--resume] [--fresh] [--cache <path>] [--retries N]\n"
-      "               [--jobs N] [--datasets a,b] [--models a,b]\n"
-      "               [--compressors a,b] [--error-bounds 0.05,0.4]\n"
-      "               [--seeds 1,2] [--metrics mae,pinball@0.9]\n"
-      "  lossyts conform [--cases N] [--seed S] [--codecs a,b]\n"
-      "               [--error-bounds 0.01,0.2] [--bit-flips N]\n"
-      "               [--no-mutate] [--jobs N]\n"
-      "  lossyts simdcheck [--cases N] [--seed S] [--codecs a,b]\n"
-      "               [--error-bounds 0.01,0.2]   (byte-compares scalar vs\n"
-      "               SIMD kernel output per codec; LOSSYTS_SIMD=off forces\n"
-      "               the scalar tier process-wide)\n"
-      "  lossyts numcheck [--iters N] [--seed S] [--ops a,b] [--models a,b]\n"
-      "               [--oracles a,b] [--jobs N]   (list \"none\" to skip a\n"
-      "               category; empty list means all)\n"
-      "  lossyts store ingest <codec[,codec...]> <eb> <in.csv | dataset>\n"
-      "               <out.lts> [--span N]\n"
-      "  lossyts store query <in.lts> <MIN|MAX|SUM|COUNT|MEAN> [<t0> <t1>]\n"
-      "               [--jobs N] [--no-pushdown]\n"
-      "  lossyts store stats <in.lts>\n"
-      "  lossyts store verify <in.lts> <in.csv | dataset>\n"
-      "  lossyts store ingest-grid <dir> [--datasets a,b]\n"
-      "               [--compressors a,b] [--error-bounds 0.05,0.4]\n"
-      "  lossyts query <dir> [--metrics a,b] [--agg MIN,MEAN,..]\n"
-      "               [--group-by series|prefix|all] [--delim <d>]\n"
-      "               [--range <t0> <t1>] [--jobs N] [--match <substr>]\n"
-      "               [--pred-suffix <s>] [--season N]\n"
-      "  lossyts stream <in.csv | dataset> [--codec PMC|SWING] [--eb E]\n"
-      "               [--model Arima|..] [--metrics a,b] [--seed S]\n"
-      "               [--initial-train N] [--retrain-window N]\n"
-      "               [--rolling-window N] [--no-retrain]\n"
-      "               [--detector point-cusum|level-ph|slope-ph]\n"
-      "  lossyts serve <dir> [--socket <path>] [--shards N] [--jobs N]\n"
-      "               [--eb E] [--span N] [--codecs a,b] [--no-sync]\n"
-      "               [--flush-wal-bytes N] [--max-queue N]\n"
-      "               [--deadline-ms N] [--client-timeout-ms N]\n"
-      "               [--stream PMC|SWING] [--stream-eb E]\n"
-      "  lossyts client <socket> ping | list | stats | shutdown\n"
-      "  lossyts client <socket> stream-info <series>\n"
-      "  lossyts client <socket> append <series> <t0> <interval> <v1,v2,..>\n"
-      "  lossyts client <socket> read <series> <t0> <t1>\n"
-      "  lossyts client <socket> query --metrics a,b [--group-by m]\n"
-      "               [--delim <d>] [--range <t0> <t1>] [--match <substr>]\n"
-      "               [--pred-suffix <s>] [--season N]\n"
-      "  (grid also takes --store-dir <dir> to source transforms from\n"
-      "   store files, and --build-stores to build them first)\n"
-      "dataset names: ETTm1 ETTm2 Solar Weather ElecDem Wind\n");
-  return 2;
+// Everything a command's flags can set. One command runs per process, so
+// commands that take the same options type share one member.
+struct Options {
+  eval::GridOptions grid;  // grid, store ingest-grid
+  bool resume = false;
+  bool build_stores = false;
+  std::string cache_path = eval::DefaultGridCachePath();
+  conform::ConformOptions conform;  // conform, simdcheck
+  numcheck::NumCheckOptions numcheck;
+  store::StoreOptions store;
+  store::AggregateOptions aggregate;
+  query::QueryOptions query;
+  stream::OnlineEvalOptions stream;
+  serve::DaemonOptions serve;
+  serve::QuerySpec client_query;
+};
+
+// A command's positional arguments, in order.
+using Args = std::vector<std::string>;
+
+// Prints `s` and returns exit code 1, a runtime error; usage errors exit 2.
+int Fail(const Status& s) {
+  std::fprintf(stderr, "%s\n", s.ToString().c_str());
+  return 1;
+}
+
+// Parses the positional argument `what` as flags::ParseValue does for a
+// flag; on a malformed value prints why and returns false (exit 2).
+template <typename T>
+bool ParseArg(const char* what, const std::string& text, T* out) {
+  const Status s = flags::ParseValue(text, out);
+  if (!s.ok()) std::fprintf(stderr, "%s: %s\n", what, s.message().c_str());
+  return s.ok();
 }
 
 Result<TimeSeries> LoadSeries(const std::string& arg) {
@@ -140,30 +108,19 @@ Status WriteBinary(const std::string& path, const std::vector<uint8_t>& data) {
   return Status::OK();
 }
 
-int Compress(const std::string& codec_name, const std::string& eb_text,
-             const std::string& in_path, const std::string& out_path) {
-  Result<TimeSeries> series = LoadSeries(in_path);
-  if (!series.ok()) {
-    std::fprintf(stderr, "%s\n", series.status().ToString().c_str());
-    return 1;
-  }
+int Compress(Options&, const Args& args) {
+  const std::string& codec_name = args[0];
+  double eb = 0.0;
+  if (!ParseArg("<eb>", args[1], &eb)) return 2;
+  Result<TimeSeries> series = LoadSeries(args[2]);
+  if (!series.ok()) return Fail(series.status());
   Result<std::unique_ptr<compress::Compressor>> codec =
       compress::MakeCompressor(codec_name);
-  if (!codec.ok()) {
-    std::fprintf(stderr, "%s\n", codec.status().ToString().c_str());
-    return 1;
-  }
-  const double eb = std::strtod(eb_text.c_str(), nullptr);
+  if (!codec.ok()) return Fail(codec.status());
   Result<std::vector<uint8_t>> blob = (*codec)->Compress(*series, eb);
-  if (!blob.ok()) {
-    std::fprintf(stderr, "%s\n", blob.status().ToString().c_str());
-    return 1;
-  }
+  if (!blob.ok()) return Fail(blob.status());
   const std::vector<uint8_t> gz = zip::GzipCompress(*blob);
-  if (Status s = WriteBinary(out_path, gz); !s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
-  }
+  if (Status s = WriteBinary(args[3], gz); !s.ok()) return Fail(s);
   const size_t raw_gz = compress::RawGzipSize(*series);
   std::printf("%s: %zu points -> %zu bytes (CR %.1fx vs gzip'd CSV)\n",
               codec_name.c_str(), series->size(), gz.size(),
@@ -171,38 +128,24 @@ int Compress(const std::string& codec_name, const std::string& eb_text,
   return 0;
 }
 
-int Decompress(const std::string& in_path, const std::string& out_path) {
-  Result<std::vector<uint8_t>> gz = ReadBinary(in_path);
-  if (!gz.ok()) {
-    std::fprintf(stderr, "%s\n", gz.status().ToString().c_str());
-    return 1;
-  }
+int Decompress(Options&, const Args& args) {
+  const std::string& out_path = args[1];
+  Result<std::vector<uint8_t>> gz = ReadBinary(args[0]);
+  if (!gz.ok()) return Fail(gz.status());
   Result<std::vector<uint8_t>> blob = zip::GzipDecompress(*gz);
-  if (!blob.ok()) {
-    std::fprintf(stderr, "%s\n", blob.status().ToString().c_str());
-    return 1;
-  }
+  if (!blob.ok()) return Fail(blob.status());
   Result<TimeSeries> series = compress::DecompressAny(*blob);
-  if (!series.ok()) {
-    std::fprintf(stderr, "%s\n", series.status().ToString().c_str());
-    return 1;
-  }
-  if (Status s = data::SaveCsv(*series, out_path); !s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
-  }
+  if (!series.ok()) return Fail(series.status());
+  if (Status s = data::SaveCsv(*series, out_path); !s.ok()) return Fail(s);
   std::printf("wrote %zu points to %s\n", series->size(), out_path.c_str());
   return 0;
 }
 
-int Stats(const std::string& arg) {
-  Result<TimeSeries> series = LoadSeries(arg);
-  if (!series.ok()) {
-    std::fprintf(stderr, "%s\n", series.status().ToString().c_str());
-    return 1;
-  }
+int Stats(Options&, const Args& args) {
+  Result<TimeSeries> series = LoadSeries(args[0]);
+  if (!series.ok()) return Fail(series.status());
   Result<TimeSeries::Stats> stats = series->ComputeStats();
-  if (!stats.ok()) return 1;
+  if (!stats.ok()) return Fail(stats.status());
   std::printf("points:   %zu\n", stats->length);
   std::printf("interval: %d s\n", series->interval_seconds());
   std::printf("mean:     %.4f\n", stats->mean);
@@ -219,22 +162,19 @@ int Stats(const std::string& arg) {
   return 0;
 }
 
-int Sweep(const std::string& arg) {
-  Result<TimeSeries> series = LoadSeries(arg);
-  if (!series.ok()) {
-    std::fprintf(stderr, "%s\n", series.status().ToString().c_str());
-    return 1;
-  }
+int Sweep(Options&, const Args& args) {
+  Result<TimeSeries> series = LoadSeries(args[0]);
+  if (!series.ok()) return Fail(series.status());
   eval::TableWriter table({"codec", "eb", "CR", "TE(NRMSE)"});
   for (const std::string name :
        {"PMC", "SWING", "SZ", "PPA", "LFZIP", "CAMEO"}) {
     Result<std::unique_ptr<compress::Compressor>> codec =
         compress::MakeCompressor(name);
-    if (!codec.ok()) return 1;
+    if (!codec.ok()) return Fail(codec.status());
     for (double eb : {0.01, 0.05, 0.2}) {
       Result<compress::PipelineResult> run =
           compress::RunPipeline(**codec, *series, eb);
-      if (!run.ok()) return 1;
+      if (!run.ok()) return Fail(run.status());
       table.AddRow({name, eval::FormatDouble(eb, 2),
                     eval::FormatDouble(run->compression_ratio, 1),
                     eval::FormatDouble(run->te_nrmse, 4)});
@@ -244,109 +184,31 @@ int Sweep(const std::string& arg) {
   return 0;
 }
 
-std::vector<std::string> SplitList(const std::string& text) {
-  std::vector<std::string> items;
-  std::stringstream stream(text);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    if (!item.empty()) items.push_back(item);
-  }
-  return items;
-}
-
 // Runs the evaluation grid with checkpoint/resume. The checkpoint is written
 // incrementally (one CRC-framed row per completed cell), so an interrupted
 // sweep rerun with --resume salvages every finished cell and computes only
 // the missing ones. Without --resume any existing cache is discarded.
-int Grid(int argc, char** argv) {
-  eval::GridOptions options;
+int Grid(Options& o, const Args&) {
+  eval::GridOptions& options = o.grid;
   options.verbose = true;
-  bool resume = false;
-  bool build_stores = false;
-  std::string cache_path = eval::DefaultGridCachePath();
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--resume") {
-      resume = true;
-    } else if (arg == "--fresh") {
-      resume = false;
-    } else if (arg == "--cache") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      cache_path = v;
-    } else if (arg == "--store-dir") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.store_dir = v;
-    } else if (arg == "--build-stores") {
-      build_stores = true;
-    } else if (arg == "--retries") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.max_cell_retries = std::atoi(v);
-    } else if (arg == "--jobs") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.jobs = std::atoi(v);
-    } else if (arg == "--datasets") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.datasets = SplitList(v);
-    } else if (arg == "--models") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.models = SplitList(v);
-    } else if (arg == "--compressors") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.compressors = SplitList(v);
-    } else if (arg == "--error-bounds") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.error_bounds.clear();
-      for (const std::string& eb : SplitList(v)) {
-        options.error_bounds.push_back(std::strtod(eb.c_str(), nullptr));
-      }
-    } else if (arg == "--seeds") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.seeds.clear();
-      for (const std::string& seed : SplitList(v)) {
-        options.seeds.push_back(std::strtoull(seed.c_str(), nullptr, 10));
-      }
-    } else if (arg == "--metrics") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.metrics = SplitList(v);
-    } else {
-      return Usage();
-    }
-  }
-  if (build_stores) {
+  if (o.build_stores) {
     if (options.store_dir.empty()) {
       std::fprintf(stderr, "--build-stores requires --store-dir\n");
-      return Usage();
+      return 2;
     }
     if (Status s = eval::BuildTransformStores(options, options.store_dir);
         !s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
+      return Fail(s);
     }
   }
-  if (!resume) std::remove(cache_path.c_str());
+  if (!o.resume) std::remove(o.cache_path.c_str());
   Result<std::vector<eval::GridRecord>> records =
-      eval::LoadOrRunGrid(options, cache_path);
-  if (!records.ok()) {
-    std::fprintf(stderr, "%s\n", records.status().ToString().c_str());
-    return 1;
-  }
+      eval::LoadOrRunGrid(options, o.cache_path);
+  if (!records.ok()) return Fail(records.status());
   const std::vector<const eval::GridRecord*> failed =
       eval::FailedRecords(*records);
   std::printf("grid: %zu cells (%zu failed), checkpoint at %s\n",
-              records->size(), failed.size(), cache_path.c_str());
+              records->size(), failed.size(), o.cache_path.c_str());
   if (!failed.empty()) {
     eval::TableWriter table({"dataset", "model", "codec", "eb", "seed",
                              "attempts", "error"});
@@ -365,51 +227,10 @@ int Grid(int argc, char** argv) {
 // bounds through the pointwise-bound oracles plus the decoder-fuzzing pass.
 // Exits nonzero iff any oracle fired; each failure line carries the codec,
 // ε, corpus family/index, and seed needed to reproduce it deterministically.
-int Conform(int argc, char** argv) {
-  conform::ConformOptions options;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--cases") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.cases_per_family = std::atoi(v);
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.base_seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--codecs") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.codecs = SplitList(v);
-    } else if (arg == "--error-bounds") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.error_bounds.clear();
-      for (const std::string& eb : SplitList(v)) {
-        options.error_bounds.push_back(std::strtod(eb.c_str(), nullptr));
-      }
-    } else if (arg == "--bit-flips") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.random_bit_flips = std::atoi(v);
-    } else if (arg == "--no-mutate") {
-      options.mutate = false;
-    } else if (arg == "--jobs") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.jobs = std::atoi(v);
-    } else {
-      return Usage();
-    }
-  }
+int Conform(Options& o, const Args&) {
+  const conform::ConformOptions& options = o.conform;
   Result<conform::ConformSummary> summary = conform::RunConform(options);
-  if (!summary.ok()) {
-    std::fprintf(stderr, "%s\n", summary.status().ToString().c_str());
-    return 1;
-  }
+  if (!summary.ok()) return Fail(summary.status());
   for (const conform::ConformFailure& f : summary->failures) {
     std::fprintf(stderr, "%s\n", conform::FormatFailure(f).c_str());
   }
@@ -423,42 +244,11 @@ int Conform(int argc, char** argv) {
 // hardware SIMD kernel tiers over the adversarial corpus. Exits nonzero iff
 // any cell diverged; on a host with no SIMD tier the run is vacuous and
 // passes (it prints 0 cells).
-int SimdCheck(int argc, char** argv) {
-  conform::ConformOptions options;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--cases") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.cases_per_family = std::atoi(v);
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.base_seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--codecs") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.codecs = SplitList(v);
-    } else if (arg == "--error-bounds") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.error_bounds.clear();
-      for (const std::string& eb : SplitList(v)) {
-        options.error_bounds.push_back(std::strtod(eb.c_str(), nullptr));
-      }
-    } else {
-      return Usage();
-    }
-  }
+int SimdCheck(Options& o, const Args&) {
+  const conform::ConformOptions& options = o.conform;
   Result<conform::ConformSummary> summary =
       conform::RunScalarSimdCompare(options);
-  if (!summary.ok()) {
-    std::fprintf(stderr, "%s\n", summary.status().ToString().c_str());
-    return 1;
-  }
+  if (!summary.ok()) return Fail(summary.status());
   for (const conform::ConformFailure& f : summary->failures) {
     std::fprintf(stderr, "%s\n", conform::FormatFailure(f).c_str());
   }
@@ -477,46 +267,10 @@ int SimdCheck(int argc, char** argv) {
 // and training-determinism oracles. Exits nonzero iff any check fired; each
 // failure line carries the component, case index, and seed needed to
 // reproduce it deterministically.
-int Numcheck(int argc, char** argv) {
-  numcheck::NumCheckOptions options;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--iters") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.iters = std::atoi(v);
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.base_seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--ops") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.ops = SplitList(v);
-    } else if (arg == "--models") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.models = SplitList(v);
-    } else if (arg == "--oracles") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.oracles = SplitList(v);
-    } else if (arg == "--jobs") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.jobs = std::atoi(v);
-    } else {
-      return Usage();
-    }
-  }
+int Numcheck(Options& o, const Args&) {
+  const numcheck::NumCheckOptions& options = o.numcheck;
   Result<numcheck::NumCheckSummary> summary = numcheck::RunNumCheck(options);
-  if (!summary.ok()) {
-    std::fprintf(stderr, "%s\n", summary.status().ToString().c_str());
-    return 1;
-  }
+  if (!summary.ok()) return Fail(summary.status());
   for (const numcheck::NumCheckFailure& f : summary->failures) {
     std::fprintf(stderr, "%s\n", numcheck::FormatFailure(f).c_str());
   }
@@ -540,39 +294,19 @@ const char* AlgorithmName(compress::AlgorithmId id) {
   return "?";
 }
 
-int StoreIngest(int argc, char** argv) {
-  if (argc < 7) return Usage();
-  store::StoreOptions options;
-  options.codecs = SplitList(argv[3]);
-  options.error_bound = std::strtod(argv[4], nullptr);
-  const std::string in_path = argv[5];
-  const std::string out_path = argv[6];
-  for (int i = 7; i < argc; ++i) {
-    if (std::string(argv[i]) == "--span" && i + 1 < argc) {
-      options.chunk_span = static_cast<uint32_t>(std::atoi(argv[++i]));
-    } else {
-      return Usage();
-    }
-  }
+int StoreIngest(Options& o, const Args& args) {
+  store::StoreOptions& options = o.store;
+  options.codecs = flags::SplitList(args[0]);
+  if (!ParseArg("<eb>", args[1], &options.error_bound)) return 2;
+  const std::string& in_path = args[2];
+  const std::string& out_path = args[3];
   Result<TimeSeries> series = LoadSeries(in_path);
-  if (!series.ok()) {
-    std::fprintf(stderr, "%s\n", series.status().ToString().c_str());
-    return 1;
-  }
+  if (!series.ok()) return Fail(series.status());
   Result<std::unique_ptr<store::StoreWriter>> writer =
       store::StoreWriter::Create(out_path, options);
-  if (!writer.ok()) {
-    std::fprintf(stderr, "%s\n", writer.status().ToString().c_str());
-    return 1;
-  }
-  if (Status s = (*writer)->Append(*series); !s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
-  }
-  if (Status s = (*writer)->Finish(); !s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
-  }
+  if (!writer.ok()) return Fail(writer.status());
+  if (Status s = (*writer)->Append(*series); !s.ok()) return Fail(s);
+  if (Status s = (*writer)->Finish(); !s.ok()) return Fail(s);
   const size_t raw_gz = compress::RawGzipSize(*series);
   std::printf(
       "%s: %llu points in %llu chunks -> %llu bytes (CR %.1fx vs gzip'd "
@@ -586,45 +320,35 @@ int StoreIngest(int argc, char** argv) {
   return 0;
 }
 
-int StoreQuery(int argc, char** argv) {
-  if (argc < 5) return Usage();
-  const std::string path = argv[3];
-  Result<store::AggregateKind> kind = store::ParseAggregateKind(argv[4]);
+int StoreQuery(Options& o, const Args& args) {
+  if (args.size() == 3) {
+    std::fprintf(stderr, "a range needs both <t0> and <t1>\n");
+    return 2;
+  }
+  Result<store::AggregateKind> kind = store::ParseAggregateKind(args[1]);
   if (!kind.ok()) {
     std::fprintf(stderr, "%s\n", kind.status().ToString().c_str());
-    return Usage();
+    return 2;
+  }
+  // A range is given by count, not by spelling: blob headers store a signed
+  // first timestamp, so "-60" is a valid <t0>.
+  const bool ranged = args.size() == 4;
+  int64_t t0 = 0;
+  int64_t t1 = 0;
+  if (ranged && !(ParseArg("<t0>", args[2], &t0) &&
+                  ParseArg("<t1>", args[3], &t1))) {
+    return 2;
   }
   Result<std::unique_ptr<store::StoreReader>> reader =
-      store::StoreReader::Open(path);
-  if (!reader.ok()) {
-    std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
-    return 1;
-  }
-  int64_t t0 = (*reader)->start_timestamp();
-  int64_t t1 = (*reader)->last_timestamp();
-  store::AggregateOptions options;
-  int i = 5;
-  if (i + 1 < argc && argv[i][0] != '-') {
-    t0 = std::strtoll(argv[i], nullptr, 10);
-    t1 = std::strtoll(argv[i + 1], nullptr, 10);
-    i += 2;
-  }
-  for (; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--jobs" && i + 1 < argc) {
-      options.jobs = std::atoi(argv[++i]);
-    } else if (arg == "--no-pushdown") {
-      options.allow_pushdown = false;
-    } else {
-      return Usage();
-    }
+      store::StoreReader::Open(args[0]);
+  if (!reader.ok()) return Fail(reader.status());
+  if (!ranged) {
+    t0 = (*reader)->start_timestamp();
+    t1 = (*reader)->last_timestamp();
   }
   Result<store::AggregateResult> result =
-      store::AggregateRange(**reader, *kind, t0, t1, options);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
+      store::AggregateRange(**reader, *kind, t0, t1, o.aggregate);
+  if (!result.ok()) return Fail(result.status());
   std::printf("%s[%lld, %lld] = %.17g  (±%.3g vs raw, %llu points, "
               "%zu pushdown / %zu decoded chunks)\n",
               store::AggregateKindName(*kind), static_cast<long long>(t0),
@@ -634,14 +358,10 @@ int StoreQuery(int argc, char** argv) {
   return 0;
 }
 
-int StoreStats(int argc, char** argv) {
-  if (argc != 4) return Usage();
+int StoreStats(Options&, const Args& args) {
   Result<std::unique_ptr<store::StoreReader>> opened =
-      store::StoreReader::Open(argv[3]);
-  if (!opened.ok()) {
-    std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
-    return 1;
-  }
+      store::StoreReader::Open(args[0]);
+  if (!opened.ok()) return Fail(opened.status());
   const store::StoreReader& reader = **opened;
   std::string codecs;
   for (const std::string& name : reader.header().codecs) {
@@ -685,20 +405,13 @@ int StoreStats(int argc, char** argv) {
 // chunks — the same §2 pointwise oracle the conform harness enforces), and
 // every pushdown aggregate must sit within its self-reported error bound of
 // the same aggregate over the raw data.
-int StoreVerify(int argc, char** argv) {
-  if (argc != 5) return Usage();
+int StoreVerify(Options&, const Args& args) {
   Result<std::unique_ptr<store::StoreReader>> opened =
-      store::StoreReader::Open(argv[3]);
-  if (!opened.ok()) {
-    std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
-    return 1;
-  }
+      store::StoreReader::Open(args[0]);
+  if (!opened.ok()) return Fail(opened.status());
   const store::StoreReader& reader = **opened;
-  Result<TimeSeries> raw = LoadSeries(argv[4]);
-  if (!raw.ok()) {
-    std::fprintf(stderr, "%s\n", raw.status().ToString().c_str());
-    return 1;
-  }
+  Result<TimeSeries> raw = LoadSeries(args[1]);
+  if (!raw.ok()) return Fail(raw.status());
   if (reader.total_points() > raw->size() ||
       reader.start_timestamp() != raw->start_timestamp() ||
       reader.interval_seconds() != raw->interval_seconds()) {
@@ -716,10 +429,7 @@ int StoreVerify(int argc, char** argv) {
                 raw->size());
   }
   Result<TimeSeries> recon = reader.ReadAll();
-  if (!recon.ok()) {
-    std::fprintf(stderr, "%s\n", recon.status().ToString().c_str());
-    return 1;
-  }
+  if (!recon.ok()) return Fail(recon.status());
   const double eb = reader.header().error_bound;
   size_t checked = 0;
   for (const store::ChunkInfo& chunk : reader.chunks()) {
@@ -792,37 +502,11 @@ int StoreVerify(int argc, char** argv) {
   return 0;
 }
 
-int StoreIngestGrid(int argc, char** argv) {
-  if (argc < 4) return Usage();
-  eval::GridOptions options;
-  const std::string dir = argv[3];
-  for (int i = 4; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--datasets") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.datasets = SplitList(v);
-    } else if (arg == "--compressors") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.compressors = SplitList(v);
-    } else if (arg == "--error-bounds") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.error_bounds.clear();
-      for (const std::string& eb : SplitList(v)) {
-        options.error_bounds.push_back(std::strtod(eb.c_str(), nullptr));
-      }
-    } else {
-      return Usage();
-    }
-  }
+int StoreIngestGrid(Options& o, const Args& args) {
+  const std::string& dir = args[0];
+  const eval::GridOptions& options = o.grid;
   if (Status s = eval::BuildTransformStores(options, dir); !s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
+    return Fail(s);
   }
   std::printf("built transform stores under %s\n", dir.c_str());
   return 0;
@@ -833,65 +517,16 @@ int StoreIngestGrid(int argc, char** argv) {
 // triggers a retrain on the reconstruction tail. Prints the prequential
 // metrics, the alarm/retrain timeline, and the compressed size (whose blob
 // is byte-identical to batch compression of the same series).
-int StreamCmd(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  stream::OnlineEvalOptions options;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const char* v = nullptr;
-    if (arg == "--codec" && (v = next())) {
-      options.codec = v;
-    } else if (arg == "--eb" && (v = next())) {
-      options.error_bound = std::strtod(v, nullptr);
-    } else if (arg == "--model" && (v = next())) {
-      options.model = v;
-    } else if (arg == "--metrics" && (v = next())) {
-      options.metrics = SplitList(v);
-    } else if (arg == "--seed" && (v = next())) {
-      options.seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--initial-train" && (v = next())) {
-      options.initial_train = static_cast<size_t>(std::atoi(v));
-    } else if (arg == "--retrain-window" && (v = next())) {
-      options.retrain_window = static_cast<size_t>(std::atoi(v));
-    } else if (arg == "--rolling-window" && (v = next())) {
-      options.rolling_window = static_cast<size_t>(std::atoi(v));
-    } else if (arg == "--no-retrain") {
-      options.retrain_on_drift = false;
-    } else if (arg == "--detector" && (v = next())) {
-      const std::string mode = v;
-      if (mode == "point-cusum") {
-        options.drift.mode = stream::SegmentDriftOptions::Mode::kPointCusum;
-      } else if (mode == "level-ph") {
-        options.drift.mode =
-            stream::SegmentDriftOptions::Mode::kSegmentLevelPh;
-      } else if (mode == "slope-ph") {
-        options.drift.mode =
-            stream::SegmentDriftOptions::Mode::kSegmentSlopePh;
-      } else {
-        std::fprintf(stderr, "unknown detector '%s'\n", mode.c_str());
-        return Usage();
-      }
-    } else {
-      return Usage();
-    }
-  }
-  Result<TimeSeries> series = LoadSeries(argv[2]);
-  if (!series.ok()) {
-    std::fprintf(stderr, "%s\n", series.status().ToString().c_str());
-    return 1;
-  }
-  options.series_label = argv[2];
+int StreamCmd(Options& o, const Args& args) {
+  stream::OnlineEvalOptions& options = o.stream;
+  Result<TimeSeries> series = LoadSeries(args[0]);
+  if (!series.ok()) return Fail(series.status());
+  options.series_label = args[0];
   Result<stream::OnlineEvalResult> result =
       stream::RunOnlineEval(*series, options);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
+  if (!result.ok()) return Fail(result.status());
   std::printf("stream: %s over %s, eb %g, model %s\n", options.codec.c_str(),
-              argv[2], options.error_bound, options.model.c_str());
+              args[0].c_str(), options.error_bound, options.model.c_str());
   std::printf("points:   %llu (%llu segments, %llu scored, %llu fits)\n",
               static_cast<unsigned long long>(result->points),
               static_cast<unsigned long long>(result->segments),
@@ -941,52 +576,12 @@ void HandleSignal(int) { g_interrupted = 1; }
 // or SIGINT/SIGTERM arrives, then drains gracefully (queued appends still
 // commit, every shard checkpoints). A SIGKILL instead is the crash the WAL
 // recovers from on the next start.
-int Serve(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  serve::DaemonOptions options;
-  options.dir = argv[2];
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const char* v = nullptr;
-    if (arg == "--socket" && (v = next())) {
-      options.socket_path = v;
-    } else if (arg == "--shards" && (v = next())) {
-      options.shards = static_cast<uint32_t>(std::atoi(v));
-    } else if (arg == "--jobs" && (v = next())) {
-      options.jobs = std::atoi(v);
-    } else if (arg == "--eb" && (v = next())) {
-      options.shard.error_bound = std::strtod(v, nullptr);
-    } else if (arg == "--span" && (v = next())) {
-      options.shard.chunk_span = static_cast<uint32_t>(std::atoi(v));
-    } else if (arg == "--codecs" && (v = next())) {
-      options.shard.codecs = SplitList(v);
-    } else if (arg == "--no-sync") {
-      options.shard.sync = false;
-    } else if (arg == "--flush-wal-bytes" && (v = next())) {
-      options.shard.flush_wal_bytes = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--max-queue" && (v = next())) {
-      options.max_queue_ops = static_cast<size_t>(std::atoi(v));
-    } else if (arg == "--deadline-ms" && (v = next())) {
-      options.append_deadline_ms = std::atoi(v);
-    } else if (arg == "--client-timeout-ms" && (v = next())) {
-      options.client_timeout_ms = std::atoi(v);
-    } else if (arg == "--stream" && (v = next())) {
-      options.shard.stream_codec = v;
-    } else if (arg == "--stream-eb" && (v = next())) {
-      options.shard.stream_error_bound = std::strtod(v, nullptr);
-    } else {
-      return Usage();
-    }
-  }
+int Serve(Options& o, const Args& args) {
+  serve::DaemonOptions& options = o.serve;
+  options.dir = args[0];
   Result<std::unique_ptr<serve::Daemon>> daemon =
       serve::Daemon::Start(options);
-  if (!daemon.ok()) {
-    std::fprintf(stderr, "%s\n", daemon.status().ToString().c_str());
-    return 1;
-  }
+  if (!daemon.ok()) return Fail(daemon.status());
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
   const serve::ServeStats boot = (*daemon)->Stats();
@@ -1017,216 +612,151 @@ int Serve(int argc, char** argv) {
   return stats.failed_shards == 0 ? 0 : 1;
 }
 
-int ClientCmd(int argc, char** argv) {
-  if (argc < 4) return Usage();
-  const std::string socket_path = argv[2];
-  const std::string sub = argv[3];
+// Connects to the daemon at `socket`; prints why and returns null on
+// failure. Every client command parses its arguments first, so malformed
+// input exits 2 whether or not a daemon is running.
+std::unique_ptr<serve::Client> Connect(const std::string& socket) {
   Result<std::unique_ptr<serve::Client>> client =
-      serve::Client::Connect(socket_path);
+      serve::Client::Connect(socket);
   if (!client.ok()) {
     std::fprintf(stderr, "%s\n", client.status().ToString().c_str());
-    return 1;
+    return nullptr;
   }
-  if (sub == "ping" && argc == 4) {
-    if (Status s = (*client)->Ping(); !s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::printf("pong\n");
-    return 0;
+  return std::move(*client);
+}
+
+int ClientPing(Options&, const Args& args) {
+  std::unique_ptr<serve::Client> client = Connect(args[0]);
+  if (client == nullptr) return 1;
+  if (Status s = client->Ping(); !s.ok()) return Fail(s);
+  std::printf("pong\n");
+  return 0;
+}
+
+int ClientAppend(Options&, const Args& args) {
+  int64_t t0 = 0;
+  int32_t interval = 0;
+  std::vector<double> values;
+  if (!ParseArg("<t0>", args[2], &t0) ||
+      !ParseArg("<interval>", args[3], &interval) ||
+      !ParseArg("<v1,v2,..>", args[4], &values)) {
+    return 2;
   }
-  if (sub == "append" && argc == 8) {
-    std::vector<double> values;
-    for (const std::string& v : SplitList(argv[7])) {
-      values.push_back(std::strtod(v.c_str(), nullptr));
-    }
-    Status s = (*client)->Append(argv[4], std::strtoll(argv[5], nullptr, 10),
-                                 std::atoi(argv[6]), values);
-    if (!s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::printf("acked %zu points\n", values.size());
-    return 0;
+  std::unique_ptr<serve::Client> client = Connect(args[0]);
+  if (client == nullptr) return 1;
+  if (Status s = client->Append(args[1], t0, interval, values); !s.ok()) {
+    return Fail(s);
   }
-  if (sub == "read" && argc == 7) {
-    Result<TimeSeries> series =
-        (*client)->ReadRange(argv[4], std::strtoll(argv[5], nullptr, 10),
-                             std::strtoll(argv[6], nullptr, 10));
-    if (!series.ok()) {
-      std::fprintf(stderr, "%s\n", series.status().ToString().c_str());
-      return 1;
-    }
-    for (size_t i = 0; i < series->size(); ++i) {
-      std::printf("%lld,%.17g\n",
-                  static_cast<long long>(
-                      series->start_timestamp() +
-                      static_cast<int64_t>(i) * series->interval_seconds()),
-                  series->values()[i]);
-    }
-    return 0;
+  std::printf("acked %zu points\n", values.size());
+  return 0;
+}
+
+int ClientRead(Options&, const Args& args) {
+  int64_t t0 = 0;
+  int64_t t1 = 0;
+  if (!ParseArg("<t0>", args[2], &t0) || !ParseArg("<t1>", args[3], &t1)) {
+    return 2;
   }
-  if (sub == "list" && argc == 4) {
-    Result<std::vector<std::string>> names = (*client)->ListSeries();
-    if (!names.ok()) {
-      std::fprintf(stderr, "%s\n", names.status().ToString().c_str());
-      return 1;
-    }
-    for (const std::string& name : *names) std::printf("%s\n", name.c_str());
-    return 0;
+  std::unique_ptr<serve::Client> client = Connect(args[0]);
+  if (client == nullptr) return 1;
+  Result<TimeSeries> series = client->ReadRange(args[1], t0, t1);
+  if (!series.ok()) return Fail(series.status());
+  for (size_t i = 0; i < series->size(); ++i) {
+    std::printf("%lld,%.17g\n",
+                static_cast<long long>(
+                    series->start_timestamp() +
+                    static_cast<int64_t>(i) * series->interval_seconds()),
+                series->values()[i]);
   }
-  if (sub == "stats" && argc == 4) {
-    Result<serve::ServeStats> stats = (*client)->Stats();
-    if (!stats.ok()) {
-      std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("shards:          %llu (%llu failed)\n",
-                static_cast<unsigned long long>(stats->shards),
-                static_cast<unsigned long long>(stats->failed_shards));
-    std::printf("series:          %llu\n",
-                static_cast<unsigned long long>(stats->series));
-    std::printf("points:          %llu\n",
-                static_cast<unsigned long long>(stats->points));
-    std::printf("wal bytes:       %llu\n",
-                static_cast<unsigned long long>(stats->wal_bytes));
-    std::printf("appends acked:   %llu\n",
-                static_cast<unsigned long long>(stats->appended_ops));
-    std::printf("flushes:         %llu (%llu failed)\n",
-                static_cast<unsigned long long>(stats->flushes),
-                static_cast<unsigned long long>(stats->flush_failures));
-    std::printf("recovery:        %llu wal records, %llu salvaged stores\n",
-                static_cast<unsigned long long>(stats->replayed_records),
-                static_cast<unsigned long long>(stats->salvaged_stores));
-    std::printf("streaming:       %llu points, %llu segments, %llu "
-                "rejected\n",
-                static_cast<unsigned long long>(stats->streamed_points),
-                static_cast<unsigned long long>(stats->stream_segments),
-                static_cast<unsigned long long>(stats->stream_rejected));
-    std::printf("admission:       %llu accepted, %llu rejected, %llu "
-                "deadline misses\n",
-                static_cast<unsigned long long>(stats->accepted),
-                static_cast<unsigned long long>(stats->rejected),
-                static_cast<unsigned long long>(stats->deadline_misses));
-    std::printf("evicted clients: %llu\n",
-                static_cast<unsigned long long>(stats->evicted_clients));
-    return 0;
-  }
-  if (sub == "query" && argc >= 5) {
-    serve::QuerySpec spec;
-    for (int i = 4; i < argc; ++i) {
-      const std::string arg = argv[i];
-      auto next = [&]() -> const char* {
-        return i + 1 < argc ? argv[++i] : nullptr;
-      };
-      const char* v = nullptr;
-      if (arg == "--metrics" && (v = next())) {
-        spec.metrics = SplitList(v);
-      } else if (arg == "--group-by" && (v = next())) {
-        spec.group_by = v;
-      } else if (arg == "--delim" && (v = next())) {
-        spec.delimiter = v;
-      } else if (arg == "--range") {
-        const char* a = next();
-        const char* b = next();
-        if (a == nullptr || b == nullptr) return Usage();
-        spec.t0 = std::strtoll(a, nullptr, 10);
-        spec.t1 = std::strtoll(b, nullptr, 10);
-      } else if (arg == "--match" && (v = next())) {
-        spec.match = v;
-      } else if (arg == "--pred-suffix" && (v = next())) {
-        spec.pred_suffix = v;
-      } else if (arg == "--season" && (v = next())) {
-        spec.season_length = std::atoi(v);
-      } else {
-        return Usage();
-      }
-    }
-    Result<query::QueryResult> result = (*client)->Query(spec);
-    if (!result.ok()) {
-      std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("%s", query::FormatQueryResult(*result).c_str());
-    return 0;
-  }
-  if (sub == "stream-info" && argc == 5) {
-    Result<serve::SeriesStreamInfo> info = (*client)->StreamInfo(argv[4]);
-    if (!info.ok()) {
-      std::fprintf(stderr, "%s\n", info.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("codec:       %s (eb %g)\n", info->codec.c_str(),
-                info->error_bound);
-    std::printf("points:      %llu (%llu rejected)\n",
-                static_cast<unsigned long long>(info->points),
-                static_cast<unsigned long long>(info->rejected));
-    std::printf("segments:    %llu closed\n",
-                static_cast<unsigned long long>(info->segments));
-    std::printf("open window: %llu points, anchor %.17g, slope %.17g\n",
-                static_cast<unsigned long long>(info->open_length),
-                info->open_anchor, info->open_slope);
-    return 0;
-  }
-  if (sub == "shutdown" && argc == 4) {
-    if (Status s = (*client)->Shutdown(); !s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::printf("shutdown requested\n");
-    return 0;
-  }
-  return Usage();
+  return 0;
+}
+
+int ClientList(Options&, const Args& args) {
+  std::unique_ptr<serve::Client> client = Connect(args[0]);
+  if (client == nullptr) return 1;
+  Result<std::vector<std::string>> names = client->ListSeries();
+  if (!names.ok()) return Fail(names.status());
+  for (const std::string& name : *names) std::printf("%s\n", name.c_str());
+  return 0;
+}
+
+int ClientStats(Options&, const Args& args) {
+  std::unique_ptr<serve::Client> client = Connect(args[0]);
+  if (client == nullptr) return 1;
+  Result<serve::ServeStats> stats = client->Stats();
+  if (!stats.ok()) return Fail(stats.status());
+  std::printf("shards:          %llu (%llu failed)\n",
+              static_cast<unsigned long long>(stats->shards),
+              static_cast<unsigned long long>(stats->failed_shards));
+  std::printf("series:          %llu\n",
+              static_cast<unsigned long long>(stats->series));
+  std::printf("points:          %llu\n",
+              static_cast<unsigned long long>(stats->points));
+  std::printf("wal bytes:       %llu\n",
+              static_cast<unsigned long long>(stats->wal_bytes));
+  std::printf("appends acked:   %llu\n",
+              static_cast<unsigned long long>(stats->appended_ops));
+  std::printf("flushes:         %llu (%llu failed)\n",
+              static_cast<unsigned long long>(stats->flushes),
+              static_cast<unsigned long long>(stats->flush_failures));
+  std::printf("recovery:        %llu wal records, %llu salvaged stores\n",
+              static_cast<unsigned long long>(stats->replayed_records),
+              static_cast<unsigned long long>(stats->salvaged_stores));
+  std::printf("streaming:       %llu points, %llu segments, %llu "
+              "rejected\n",
+              static_cast<unsigned long long>(stats->streamed_points),
+              static_cast<unsigned long long>(stats->stream_segments),
+              static_cast<unsigned long long>(stats->stream_rejected));
+  std::printf("admission:       %llu accepted, %llu rejected, %llu "
+              "deadline misses\n",
+              static_cast<unsigned long long>(stats->accepted),
+              static_cast<unsigned long long>(stats->rejected),
+              static_cast<unsigned long long>(stats->deadline_misses));
+  std::printf("evicted clients: %llu\n",
+              static_cast<unsigned long long>(stats->evicted_clients));
+  return 0;
+}
+
+int ClientQuery(Options& o, const Args& args) {
+  std::unique_ptr<serve::Client> client = Connect(args[0]);
+  if (client == nullptr) return 1;
+  Result<query::QueryResult> result = client->Query(o.client_query);
+  if (!result.ok()) return Fail(result.status());
+  std::printf("%s", query::FormatQueryResult(*result).c_str());
+  return 0;
+}
+
+int ClientStreamInfo(Options&, const Args& args) {
+  std::unique_ptr<serve::Client> client = Connect(args[0]);
+  if (client == nullptr) return 1;
+  Result<serve::SeriesStreamInfo> info = client->StreamInfo(args[1]);
+  if (!info.ok()) return Fail(info.status());
+  std::printf("codec:       %s (eb %g)\n", info->codec.c_str(),
+              info->error_bound);
+  std::printf("points:      %llu (%llu rejected)\n",
+              static_cast<unsigned long long>(info->points),
+              static_cast<unsigned long long>(info->rejected));
+  std::printf("segments:    %llu closed\n",
+              static_cast<unsigned long long>(info->segments));
+  std::printf("open window: %llu points, anchor %.17g, slope %.17g\n",
+              static_cast<unsigned long long>(info->open_length),
+              info->open_anchor, info->open_slope);
+  return 0;
+}
+
+int ClientShutdown(Options&, const Args& args) {
+  std::unique_ptr<serve::Client> client = Connect(args[0]);
+  if (client == nullptr) return 1;
+  if (Status s = client->Shutdown(); !s.ok()) return Fail(s);
+  std::printf("shutdown requested\n");
+  return 0;
 }
 
 // Grouped-metric / aggregate query over a directory of store files — the
 // offline twin of the daemon's kQuery (`lossyts client <sock> query`).
-int QueryCmd(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  const std::string dir = argv[2];
-  query::QueryOptions options;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const char* v = nullptr;
-    if (arg == "--metrics" && (v = next())) {
-      options.metrics = SplitList(v);
-    } else if (arg == "--agg" && (v = next())) {
-      options.aggregates = SplitList(v);
-    } else if (arg == "--group-by" && (v = next())) {
-      Result<query::GroupMode> mode = query::ParseGroupMode(v);
-      if (!mode.ok()) {
-        std::fprintf(stderr, "%s\n", mode.status().ToString().c_str());
-        return 1;
-      }
-      options.group_by = *mode;
-    } else if (arg == "--delim" && (v = next())) {
-      options.delimiter = v;
-    } else if (arg == "--range") {
-      const char* a = next();
-      const char* b = next();
-      if (a == nullptr || b == nullptr) return Usage();
-      options.t0 = std::strtoll(a, nullptr, 10);
-      options.t1 = std::strtoll(b, nullptr, 10);
-    } else if (arg == "--jobs" && (v = next())) {
-      options.jobs = std::atoi(v);
-    } else if (arg == "--match" && (v = next())) {
-      options.match = v;
-    } else if (arg == "--pred-suffix" && (v = next())) {
-      options.pred_suffix = v;
-    } else if (arg == "--season" && (v = next())) {
-      options.season_length = std::atoi(v);
-    } else {
-      return Usage();
-    }
-  }
-  Result<query::QueryResult> result = query::QueryStoreDir(dir, options);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
+int QueryCmd(Options& o, const Args& args) {
+  Result<query::QueryResult> result = query::QueryStoreDir(args[0], o.query);
+  if (!result.ok()) return Fail(result.status());
   std::printf("%s", query::FormatQueryResult(*result).c_str());
   std::fprintf(stderr, "pushdown chunks: %llu, decoded chunks: %llu\n",
                static_cast<unsigned long long>(result->pushdown_chunks),
@@ -1234,38 +764,259 @@ int QueryCmd(int argc, char** argv) {
   return 0;
 }
 
-int StoreCmd(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  const std::string sub = argv[2];
-  if (sub == "ingest") return StoreIngest(argc, argv);
-  if (sub == "query") return StoreQuery(argc, argv);
-  if (sub == "stats") return StoreStats(argc, argv);
-  if (sub == "verify") return StoreVerify(argc, argv);
-  if (sub == "ingest-grid") return StoreIngestGrid(argc, argv);
-  return Usage();
+// One command: the words that select it, where "<x>" takes any argument
+// and passes it to `run` ahead of the rest; the synopsis and count of its
+// remaining positional arguments; and its flags.
+struct Command {
+  const char* words;
+  const char* args;
+  size_t min_args;
+  size_t max_args;
+  std::vector<flags::Flag> flags;
+  int (*run)(Options&, const Args&);
+};
+
+// `--range <t0> <t1>` of `query` and `client query`.
+flags::Flag Range(int64_t* t0, int64_t* t1) {
+  return {"--range", "<t0> <t1>", "inclusive time range", 2,
+          [t0, t1](std::span<const std::string> v) {
+            const Status s = flags::ParseValue(v[0], t0);
+            return s.ok() ? flags::ParseValue(v[1], t1) : s;
+          }};
+}
+
+// The command table: dispatch, argument checks and the usage text all come
+// from it. Flags bind into `o`, which must outlive the returned table.
+std::vector<Command> Commands(Options& o) {
+  using flags::Switch;
+  using flags::Value;
+  const char* kSeries = "<in.csv | dataset-name>";
+  eval::GridOptions& g = o.grid;
+  conform::ConformOptions& c = o.conform;
+  numcheck::NumCheckOptions& n = o.numcheck;
+  query::QueryOptions& q = o.query;
+  stream::OnlineEvalOptions& st = o.stream;
+  serve::ShardOptions& shard = o.serve.shard;
+  serve::QuerySpec& cq = o.client_query;
+  return {
+      {"compress",
+       "<PMC|SWING|SZ|PPA|LFZIP|CAMEO|GORILLA|CHIMP> <eb> <in.csv> <out.lts>",
+       4, 4, {}, Compress},
+      {"decompress", "<in.lts> <out.csv>", 2, 2, {}, Decompress},
+      {"stats", kSeries, 1, 1, {}, Stats},
+      {"sweep", kSeries, 1, 1, {}, Sweep},
+      {"grid", "", 0, 0,
+       {Switch("--resume", "resume the checkpoint", &o.resume, true),
+        Switch("--fresh", "discard the checkpoint (default)", &o.resume, false),
+        Value("--cache", "<path>", "checkpoint file", &o.cache_path),
+        Value("--store-dir", "<dir>", "source transforms from store files",
+              &g.store_dir),
+        Switch("--build-stores", "build the --store-dir stores first",
+               &o.build_stores, true),
+        Value("--retries", "N", "retries per failed cell", &g.max_cell_retries),
+        Value("--jobs", "N", "worker threads (0 = all)", &g.jobs),
+        Value("--datasets", "a,b", "datasets (default all)", &g.datasets),
+        Value("--models", "a,b", "models (default all)", &g.models),
+        Value("--compressors", "a,b", "codecs (default PMC,SWING,SZ)",
+              &g.compressors),
+        Value("--error-bounds", "0.05,0.4", "bounds (default the paper's 13)",
+              &g.error_bounds),
+        Value("--seeds", "1,2", "seeds", &g.seeds),
+        Value("--metrics", "mae,pinball@0.9", "extra registered metrics",
+              &g.metrics)},
+       Grid},
+      {"conform", "", 0, 0,
+       {Value("--cases", "N", "cases per corpus family", &c.cases_per_family),
+        Value("--seed", "S", "base seed", &c.base_seed),
+        Value("--codecs", "a,b", "codecs (default all)", &c.codecs),
+        Value("--error-bounds", "0.01,0.2", "bounds", &c.error_bounds),
+        Value("--bit-flips", "N", "random bit flips per blob",
+              &c.random_bit_flips),
+        Switch("--no-mutate", "skip decoder fuzzing", &c.mutate, false),
+        Value("--jobs", "N", "worker threads (0 = all)", &c.jobs)},
+       Conform},
+      {"simdcheck", "", 0, 0,
+       {Value("--cases", "N", "cases per corpus family", &c.cases_per_family),
+        Value("--seed", "S", "base seed", &c.base_seed),
+        Value("--codecs", "a,b", "codecs (default all)", &c.codecs),
+        Value("--error-bounds", "0.01,0.2", "bounds", &c.error_bounds)},
+       SimdCheck},
+      {"numcheck", "", 0, 0,
+       {Value("--iters", "N", "cases per component", &n.iters),
+        Value("--seed", "S", "base seed", &n.base_seed),
+        Value("--ops", "a,b", "autodiff ops (none = skip, empty = all)",
+              &n.ops),
+        Value("--models", "a,b", "networks (none = skip, empty = all)",
+              &n.models),
+        Value("--oracles", "a,b", "oracles (none = skip, empty = all)",
+              &n.oracles),
+        Value("--jobs", "N", "worker threads (0 = all)", &n.jobs)},
+       Numcheck},
+      {"store ingest", "<codec[,codec...]> <eb> <in.csv | dataset> <out.lts>",
+       4, 4, {Value("--span", "N", "points per chunk", &o.store.chunk_span)},
+       StoreIngest},
+      {"store query", "<in.lts> <MIN|MAX|SUM|COUNT|MEAN> [<t0> <t1>]", 2, 4,
+       {Value("--jobs", "N", "worker threads", &o.aggregate.jobs),
+        Switch("--no-pushdown", "decode every chunk",
+               &o.aggregate.allow_pushdown, false)},
+       StoreQuery},
+      {"store stats", "<in.lts>", 1, 1, {}, StoreStats},
+      {"store verify", "<in.lts> <in.csv | dataset>", 2, 2, {}, StoreVerify},
+      {"store ingest-grid", "<dir>", 1, 1,
+       {Value("--datasets", "a,b", "datasets", &g.datasets),
+        Value("--compressors", "a,b", "codecs", &g.compressors),
+        Value("--error-bounds", "0.05,0.4", "bounds", &g.error_bounds)},
+       StoreIngestGrid},
+      {"query", "<dir>", 1, 1,
+       {Value("--metrics", "a,b", "metrics", &q.metrics),
+        Value("--agg", "MIN,MEAN,..", "aggregates", &q.aggregates),
+        {"--group-by", "series|prefix|all", "grouping", 1,
+         [&o](std::span<const std::string> v) -> Status {
+           Result<query::GroupMode> mode = query::ParseGroupMode(v[0]);
+           if (!mode.ok()) return mode.status();
+           o.query.group_by = *mode;
+           return Status::OK();
+         }},
+        Value("--delim", "<d>", "prefix delimiter", &q.delimiter),
+        Range(&q.t0, &q.t1),
+        Value("--jobs", "N", "worker threads", &q.jobs),
+        Value("--match", "<substr>", "series name filter", &q.match),
+        Value("--pred-suffix", "<s>", "forecast store suffix", &q.pred_suffix),
+        Value("--season", "N", "seasonal lag for MASE", &q.season_length)},
+       QueryCmd},
+      {"stream", "<in.csv | dataset>", 1, 1,
+       {Value("--codec", "PMC|SWING", "streaming codec", &st.codec),
+        Value("--eb", "E", "error bound", &st.error_bound),
+        Value("--model", "Arima|..", "forecaster", &st.model),
+        Value("--metrics", "a,b", "metrics", &st.metrics),
+        Value("--seed", "S", "seed", &st.seed),
+        Value("--initial-train", "N", "points before the first fit",
+              &st.initial_train),
+        Value("--retrain-window", "N", "points per retrain",
+              &st.retrain_window),
+        Value("--rolling-window", "N", "rolling feature window",
+              &st.rolling_window),
+        Switch("--no-retrain", "never retrain", &st.retrain_on_drift, false),
+        {"--detector", "point-cusum|level-ph|slope-ph", "drift detector", 1,
+         [&o](std::span<const std::string> v) -> Status {
+           using Mode = stream::SegmentDriftOptions::Mode;
+           if (v[0] == "point-cusum") {
+             o.stream.drift.mode = Mode::kPointCusum;
+           } else if (v[0] == "level-ph") {
+             o.stream.drift.mode = Mode::kSegmentLevelPh;
+           } else if (v[0] == "slope-ph") {
+             o.stream.drift.mode = Mode::kSegmentSlopePh;
+           } else {
+             return Status::InvalidArgument("unknown detector '" + v[0] + "'");
+           }
+           return Status::OK();
+         }}},
+       StreamCmd},
+      {"serve", "<dir>", 1, 1,
+       {Value("--socket", "<path>", "socket path", &o.serve.socket_path),
+        Value("--shards", "N", "shards", &o.serve.shards),
+        Value("--jobs", "N", "worker threads (0 = all)", &o.serve.jobs),
+        Value("--eb", "E", "error bound", &shard.error_bound),
+        Value("--span", "N", "points per chunk", &shard.chunk_span),
+        Value("--codecs", "a,b", "checkpoint codecs", &shard.codecs),
+        Switch("--no-sync", "skip fsync before ack", &shard.sync, false),
+        Value("--flush-wal-bytes", "N", "checkpoint after this much WAL",
+              &shard.flush_wal_bytes),
+        Value("--max-queue", "N", "queued appends before kRetry",
+              &o.serve.max_queue_ops),
+        Value("--deadline-ms", "N", "append deadline",
+              &o.serve.append_deadline_ms),
+        Value("--client-timeout-ms", "N", "idle client eviction",
+              &o.serve.client_timeout_ms),
+        Value("--stream", "PMC|SWING", "per-series streaming codec",
+              &shard.stream_codec),
+        Value("--stream-eb", "E", "streaming error bound",
+              &shard.stream_error_bound)},
+       Serve},
+      {"client <socket> ping", "", 0, 0, {}, ClientPing},
+      {"client <socket> list", "", 0, 0, {}, ClientList},
+      {"client <socket> stats", "", 0, 0, {}, ClientStats},
+      {"client <socket> shutdown", "", 0, 0, {}, ClientShutdown},
+      {"client <socket> stream-info", "<series>", 1, 1, {}, ClientStreamInfo},
+      {"client <socket> append", "<series> <t0> <interval> <v1,v2,..>", 4, 4,
+       {}, ClientAppend},
+      {"client <socket> read", "<series> <t0> <t1>", 3, 3, {}, ClientRead},
+      {"client <socket> query", "", 0, 0,
+       {Value("--metrics", "a,b", "metrics", &cq.metrics),
+        Value("--group-by", "m", "grouping", &cq.group_by),
+        Value("--delim", "<d>", "prefix delimiter", &cq.delimiter),
+        Range(&cq.t0, &cq.t1),
+        Value("--match", "<substr>", "series name filter", &cq.match),
+        Value("--pred-suffix", "<s>", "forecast series suffix",
+              &cq.pred_suffix),
+        Value("--season", "N", "seasonal lag for MASE", &cq.season_length)},
+       ClientQuery},
+  };
+}
+
+std::string CommandUsage(const Command& c) {
+  std::string line = std::string("  lossyts ") + c.words;
+  if (*c.args != '\0') line += std::string(" ") + c.args;
+  return line + "\n" + flags::Usage(c.flags, 6);
+}
+
+int Usage(const std::vector<Command>& commands) {
+  std::string text = "usage:\n";
+  for (const Command& c : commands) text += CommandUsage(c);
+  text += "dataset names:";
+  for (const std::string& name : data::DatasetNames()) text += " " + name;
+  std::fprintf(stderr, "%s\n", text.c_str());
+  return 2;
+}
+
+// Matches the command's words against the leading arguments, collecting
+// the "<x>" ones into `*args`; a flag never matches a "<x>" word. Returns
+// the number of words matched, 0 when the command does not match.
+size_t MatchWords(const Command& c, const Args& argv, Args* args) {
+  std::istringstream in(c.words);
+  size_t i = 0;
+  for (std::string word; in >> word; ++i) {
+    if (i >= argv.size()) return 0;
+    if (word[0] != '<') {
+      if (argv[i] != word) return 0;
+    } else if (argv[i].rfind("--", 0) == 0) {
+      return 0;
+    } else {
+      args->push_back(argv[i]);
+    }
+  }
+  return i;
+}
+
+// Parses the arguments after the command's words and runs it; exits 2 with
+// the command's usage on a flag error or a wrong argument count.
+int Dispatch(Options& o, const Command& c, const Args& rest, Args args) {
+  const size_t fixed = args.size();
+  Status s = flags::Parse(c.flags, rest, &args);
+  const size_t n = args.size() - fixed;
+  if (s.ok() && (n < c.min_args || n > c.max_args)) {
+    s = Status::InvalidArgument("wrong number of arguments");
+  }
+  if (!s.ok()) {
+    std::fprintf(stderr, "lossyts %s: %s\nusage:\n%s", c.words,
+                 s.message().c_str(), CommandUsage(c).c_str());
+    return 2;
+  }
+  return c.run(o, args);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return Usage();
-  const std::string command = argv[1];
-  if (command == "compress" && argc == 6) {
-    return Compress(argv[2], argv[3], argv[4], argv[5]);
+  Options options;
+  const std::vector<Command> commands = Commands(options);
+  const Args argv_args(argv + 1, argv + argc);
+  for (const Command& c : commands) {
+    Args args;
+    if (const size_t words = MatchWords(c, argv_args, &args)) {
+      return Dispatch(options, c, Args(argv_args.begin() + words,
+                                       argv_args.end()), std::move(args));
+    }
   }
-  if (command == "decompress" && argc == 4) {
-    return Decompress(argv[2], argv[3]);
-  }
-  if (command == "stats" && argc == 3) return Stats(argv[2]);
-  if (command == "sweep" && argc == 3) return Sweep(argv[2]);
-  if (command == "grid") return Grid(argc, argv);
-  if (command == "conform") return Conform(argc, argv);
-  if (command == "simdcheck") return SimdCheck(argc, argv);
-  if (command == "numcheck") return Numcheck(argc, argv);
-  if (command == "store") return StoreCmd(argc, argv);
-  if (command == "stream") return StreamCmd(argc, argv);
-  if (command == "query") return QueryCmd(argc, argv);
-  if (command == "serve") return Serve(argc, argv);
-  if (command == "client") return ClientCmd(argc, argv);
-  return Usage();
+  return Usage(commands);
 }
