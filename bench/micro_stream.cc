@@ -10,8 +10,9 @@
 //     ground-truth shifts are detected per codec, or the mean detection
 //     delay breaches its floor (LOSSYTS_MICRO_STREAM_DELAY points, default
 //     120 — a CUSUM re-anchor can legitimately mask an individual shift),
-//   * streaming ingest throughput falls below LOSSYTS_MICRO_STREAM_RATIO
-//     (default 0.5) x batch compression throughput, or
+//   * the best paired streaming/batch ingest ratio (streaming and batch
+//     trials interleaved, one pair per trial) falls below
+//     LOSSYTS_MICRO_STREAM_RATIO (default 0.5), or
 //   * results are not byte-identical across the --jobs values (worker count
 //     must never change what the stream computes).
 //
@@ -237,11 +238,10 @@ int main(int argc, char** argv) {
   std::printf("}\n");
 
   // --- Throughput: streaming ingest vs batch compression ------------------
-  // Each side is measured as the BEST of `iters` interleaved trials (each at
-  // least 0.08 s of corpus passes): external interference only ever slows a
-  // trial down, so the per-side maximum is the robust speed estimate, and
-  // interleaving means a noisy stretch hits both sides rather than skewing
-  // the ratio.
+  // Timing: one batch trial and one streaming trial back to back per pair
+  // (each at least 0.08 s of corpus passes), and the floor is checked
+  // against the best PAIRED ratio, as micro_query does: a noise burst then
+  // hits both sides of one pair instead of skewing one side's best-of.
   constexpr double kMinTrialSeconds = 0.08;
   const int trials = std::max(3, iters);
   for (const std::string& codec : codecs) {
@@ -291,16 +291,17 @@ int main(int argc, char** argv) {
 
     double batch_mps = 0.0;
     double stream_mps = 0.0;
+    double ratio = 0.0;
     for (int t = 0; t < trials; ++t) {
       Result<double> b = trial_mps(batch_pass);
       Result<double> s = trial_mps(stream_pass);
       if (!b.ok() || !s.ok()) return 1;
       batch_mps = std::max(batch_mps, *b);
       stream_mps = std::max(stream_mps, *s);
+      ratio = std::max(ratio, *s / *b);
     }
-    const double ratio = stream_mps / batch_mps;
     std::printf("ingest:    %-5s batch %7.1f Mpts/s, streaming %7.1f "
-                "Mpts/s (%.2fx, floor %.2fx)\n",
+                "Mpts/s (best pair %.2fx, floor %.2fx)\n",
                 codec.c_str(), batch_mps, stream_mps, ratio, ratio_floor);
     if (ratio < ratio_floor) {
       std::fprintf(stderr,

@@ -37,11 +37,17 @@ class TransformerNetwork : public WindowNetwork {
   }
 
   nn::Var Forward(const nn::Var& batch, bool train, Rng& rng) override {
-    // Attention runs per sequence; loop over batch rows and restack.
+    // Attention runs per sequence; loop over batch rows and restack. The
+    // positional encodings and the decoder placeholders are constants
+    // shared by every row, so Backward() zero-fills one gradient each
+    // rather than one per row.
+    const Constants constants{
+        nn::MakeVar(enc_pe_), nn::MakeVar(dec_pe_),
+        nn::MakeVar(nn::Tensor(horizon_, arch_.d_model, 0.0))};
     nn::Var outputs;
     for (size_t r = 0; r < batch->value.rows(); ++r) {
       const nn::Var row = nn::SliceRows(batch, r, r + 1);
-      const nn::Var pred = ForwardOne(row, train, rng);
+      const nn::Var pred = ForwardOne(row, constants, train, rng);
       outputs = r == 0 ? pred : nn::ConcatRows(outputs, pred);
     }
     return outputs;
@@ -60,11 +66,18 @@ class TransformerNetwork : public WindowNetwork {
   }
 
  private:
+  struct Constants {
+    nn::Var enc_pe;
+    nn::Var dec_pe;
+    nn::Var placeholders;  // Zeros, (horizon × d_model).
+  };
+
   // One window: (1 × input_length) -> (1 × horizon).
-  nn::Var ForwardOne(const nn::Var& row, bool train, Rng& rng) {
+  nn::Var ForwardOne(const nn::Var& row, const Constants& constants,
+                     bool train, Rng& rng) {
     // Embed each scalar observation to d_model and add positions.
     const nn::Var seq = nn::Transpose(row);  // (L × 1).
-    nn::Var x = nn::Add(embed_.Forward(seq), nn::MakeVar(enc_pe_));
+    nn::Var x = nn::Add(embed_.Forward(seq), constants.enc_pe);
 
     for (size_t l = 0; l < encoder_.size(); ++l) {
       x = encoder_[l]->Forward(x, train, rng, prob_sparse_);
@@ -82,10 +95,9 @@ class TransformerNetwork : public WindowNetwork {
     const nn::Var label_seq =
         nn::SliceRows(seq, input_length_ - label, input_length_);
     const nn::Var label_embedded = embed_.Forward(label_seq);
-    const nn::Var placeholders =
-        nn::MakeVar(nn::Tensor(horizon_, arch_.d_model, 0.0));
-    nn::Var dec = nn::Add(nn::ConcatRows(label_embedded, placeholders),
-                          nn::MakeVar(dec_pe_));
+    nn::Var dec =
+        nn::Add(nn::ConcatRows(label_embedded, constants.placeholders),
+                constants.dec_pe);
     for (const auto& layer : decoder_) {
       dec = layer->Forward(dec, memory, train, rng);
     }

@@ -93,21 +93,11 @@ Var MultiHeadAttention::ForwardProbSparse(const Var& x, double factor) const {
                       [](const auto& a, const auto& b) {
                         return a.first > b.first;
                       });
-    Tensor select(seq, seq, 0.0);       // Diagonal 1 for active queries.
-    Tensor complement(seq, seq, 0.0);   // Diagonal 1 for lazy queries.
-    for (size_t i = 0; i < seq; ++i) complement(i, i) = 1.0;
-    for (size_t r = 0; r < u; ++r) {
-      const size_t i = sparsity[r].second;
-      select(i, i) = 1.0;
-      complement(i, i) = 0.0;
-    }
-
-    const Var attended = MatMul(Softmax(scores), vh);
-    // Lazy queries output the mean of V: (1/L)·ones·V.
-    Tensor ones(seq, seq, 1.0 / static_cast<double>(seq));
-    const Var mean_v = MatMul(MakeVar(std::move(ones)), vh);
-    const Var head = Add(MatMul(MakeVar(std::move(select)), attended),
-                         MatMul(MakeVar(std::move(complement)), mean_v));
+    std::vector<uint8_t> active(seq, 0);
+    for (size_t r = 0; r < u; ++r) active[sparsity[r].second] = 1;
+    // Lazy queries output the mean of V.
+    const Var head =
+        RowSelectOrMean(MatMul(Softmax(scores), vh), vh, std::move(active));
     concat = h == 0 ? head : ConcatCols(concat, head);
   }
   return wo_->Forward(concat);

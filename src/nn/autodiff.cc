@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <unordered_set>
 
@@ -42,6 +43,87 @@ void TopoSort(const Var& root, std::vector<Node*>& order) {
   }
 }
 
+Tensor Transposed(const Tensor& t) {
+  Tensor out(t.cols(), t.rows());
+  for (size_t r = 0; r < t.rows(); ++r) {
+    for (size_t c = 0; c < t.cols(); ++c) out(c, r) = t(r, c);
+  }
+  return out;
+}
+
+// ---- MatMul kernel ----
+//
+// C(m×n) += L(m×k)·R(k×n) over row-major operands. Every C element starts
+// from its current value and adds its products L(i,p)·R(p,j) in ascending
+// p, each one multiply and one add (no contraction, see CMakeLists.txt), so
+// the register tiles and the scalar tail give the bits of the textbook
+// i-p-j loop. A product with L(i,p) == 0 is skipped, not added as a zero,
+// so a non-finite R(p,j) never enters through it.
+
+using Vec2 = double __attribute__((vector_size(16)));
+
+constexpr size_t kTileRows = 2;
+constexpr size_t kTileVecs = 4;
+constexpr size_t kTileCols = 2 * kTileVecs;
+
+Vec2 Load2(const double* p) {
+  Vec2 v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+void Store2(double* p, Vec2 v) { std::memcpy(p, &v, sizeof(v)); }
+
+// One kRows × kTileCols block of C, held in registers across all of k.
+template <size_t kRows>
+void AccumulateTile(const double* l, const double* r, double* c, size_t k,
+                    size_t n) {
+  Vec2 acc[kRows][kTileVecs];
+  for (size_t i = 0; i < kRows; ++i) {
+    for (size_t v = 0; v < kTileVecs; ++v) {
+      acc[i][v] = Load2(c + i * n + 2 * v);
+    }
+  }
+  for (size_t p = 0; p < k; ++p) {
+    Vec2 rv[kTileVecs];
+    for (size_t v = 0; v < kTileVecs; ++v) rv[v] = Load2(r + p * n + 2 * v);
+    for (size_t i = 0; i < kRows; ++i) {
+      const double lv = l[i * k + p];
+      if (lv == 0.0) continue;
+      for (size_t v = 0; v < kTileVecs; ++v) acc[i][v] += lv * rv[v];
+    }
+  }
+  for (size_t i = 0; i < kRows; ++i) {
+    for (size_t v = 0; v < kTileVecs; ++v) {
+      Store2(c + i * n + 2 * v, acc[i][v]);
+    }
+  }
+}
+
+void AccumulateProduct(const double* l, const double* r, double* c, size_t m,
+                       size_t k, size_t n) {
+  const size_t tiled = n - n % kTileCols;
+  for (size_t j = 0; j < tiled; j += kTileCols) {
+    size_t i = 0;
+    for (; i + kTileRows <= m; i += kTileRows) {
+      AccumulateTile<kTileRows>(l + i * k, r + j, c + i * n + j, k, n);
+    }
+    for (; i < m; ++i) {
+      AccumulateTile<1>(l + i * k, r + j, c + i * n + j, k, n);
+    }
+  }
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = tiled; j < n; ++j) {
+      double acc = c[i * n + j];
+      for (size_t p = 0; p < k; ++p) {
+        const double lv = l[i * k + p];
+        if (lv != 0.0) acc += lv * r[p * n + j];
+      }
+      c[i * n + j] = acc;
+    }
+  }
+}
+
 }  // namespace
 
 Var MakeVar(Tensor value, bool requires_grad) {
@@ -53,6 +135,7 @@ Var MakeVar(Tensor value, bool requires_grad) {
 
 void Backward(const Var& loss) {
   assert(loss->value.rows() == 1 && loss->value.cols() == 1);
+  TensorPool::EndStep();
   std::vector<Node*> order;
   TopoSort(loss, order);
   for (Node* n : order) {
@@ -70,34 +153,94 @@ Var MatMul(const Var& a, const Var& b) {
   const size_t k = a->value.cols();
   const size_t n = b->value.cols();
   Tensor out(m, n);
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t p = 0; p < k; ++p) {
-      const double av = a->value(i, p);
-      if (av == 0.0) continue;
-      for (size_t j = 0; j < n; ++j) out(i, j) += av * b->value(p, j);
-    }
-  }
+  AccumulateProduct(a->value.data(), b->value.data(), out.data(), m, k, n);
   return MakeOpNode(std::move(out), {a, b}, [m, k, n](Node& node) {
-    const Var& a_in = node.inputs[0];
-    const Var& b_in = node.inputs[1];
-    // dA = dOut · B^T,  dB = A^T · dOut.
-    for (size_t i = 0; i < m; ++i) {
-      for (size_t j = 0; j < n; ++j) {
-        const double g = node.grad(i, j);
-        if (g == 0.0) continue;
-        for (size_t p = 0; p < k; ++p) {
-          a_in->grad(i, p) += g * b_in->value(p, j);
-          b_in->grad(p, j) += a_in->value(i, p) * g;
-        }
-      }
+    Node& a_in = *node.inputs[0];
+    Node& b_in = *node.inputs[1];
+    // dA = dOut·B^T against a transposed copy of B: each dA(i, p) adds its
+    // terms in ascending j, skipping dOut(i, j) == 0.
+    if (a_in.requires_grad) {
+      const Tensor bt = Transposed(b_in.value);
+      AccumulateProduct(node.grad.data(), bt.data(), a_in.grad.data(), m, n,
+                        k);
+    }
+    // dB^T = dOut^T·A, accumulated in a transposed copy of dB: each dB(p, j)
+    // adds its terms in ascending i, skipping dOut(i, j) == 0.
+    if (b_in.requires_grad) {
+      const Tensor gt = Transposed(node.grad);
+      Tensor dbt = Transposed(b_in.grad);
+      AccumulateProduct(gt.data(), a_in.value.data(), dbt.data(), n, m, k);
+      b_in.grad = Transposed(dbt);
     }
     // Seeded-fault drill for the finite-difference gradient oracle: when the
-    // site is armed the accumulated dA is corrupted, which numcheck must
-    // report. One relaxed atomic load when unarmed (see core/failpoint.h).
+    // site is armed an accumulated gradient (dA when A takes one) is
+    // corrupted, which numcheck must report. One relaxed atomic load when
+    // unarmed (see core/failpoint.h).
     if (!FailPoints::Hit("autodiff_backward_perturb").ok()) {
-      a_in->grad(0, 0) += 0.5;
+      (a_in.requires_grad ? a_in : b_in).grad(0, 0) += 0.5;
     }
   });
+}
+
+Var RowSelectOrMean(const Var& a, const Var& b, std::vector<uint8_t> active) {
+  assert(a->value.SameShape(b->value) && active.size() == a->value.rows());
+  const size_t rows = a->value.rows();
+  const size_t cols = a->value.cols();
+  // The column mean adds inv·b(p, j) in ascending p from +0.0, and every
+  // output entry gets a trailing +0.0 (turning -0.0 into +0.0), exactly as
+  // the one-hot products select·a + complement·(ones/L)·b did.
+  const double inv = 1.0 / static_cast<double>(rows);
+  std::vector<double> mean(cols, 0.0);
+  for (size_t p = 0; p < rows; ++p) {
+    for (size_t j = 0; j < cols; ++j) mean[j] += inv * b->value(p, j);
+  }
+  Tensor out(rows, cols);
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < cols; ++j) {
+      out(i, j) = (active[i] ? a->value(i, j) : mean[j]) + 0.0;
+    }
+  }
+  return MakeOpNode(
+      std::move(out), {a, b},
+      [active = std::move(active), inv](Node& node) {
+        Node& a_in = *node.inputs[0];
+        Node& b_in = *node.inputs[1];
+        // b's terms go in first: in the one-hot graph the mean product's
+        // backward ran before the select product's. Every b(q, j) receives
+        // the same terms inv·dOut(i, j), one per lazy row in ascending i;
+        // from a +0.0 start they add up to the column total, and an entry
+        // holding anything else replays them one by one.
+        const size_t rows = node.grad.rows();
+        const size_t cols = node.grad.cols();
+        std::vector<double> total(cols, 0.0);
+        for (size_t i = 0; i < rows; ++i) {
+          if (active[i]) continue;
+          for (size_t j = 0; j < cols; ++j) {
+            const double g = node.grad(i, j);
+            if (g != 0.0) total[j] += inv * g;
+          }
+        }
+        for (size_t q = 0; q < rows; ++q) {
+          for (size_t j = 0; j < cols; ++j) {
+            double& dst = b_in.grad(q, j);
+            if (dst == 0.0 && !std::signbit(dst)) {
+              dst = total[j];
+              continue;
+            }
+            for (size_t i = 0; i < rows; ++i) {
+              const double g = node.grad(i, j);
+              if (!active[i] && g != 0.0) dst += inv * g;
+            }
+          }
+        }
+        for (size_t i = 0; i < rows; ++i) {
+          if (!active[i]) continue;
+          for (size_t j = 0; j < cols; ++j) {
+            const double g = node.grad(i, j);
+            if (g != 0.0) a_in.grad(i, j) += g;
+          }
+        }
+      });
 }
 
 Var Add(const Var& a, const Var& b) {
@@ -353,11 +496,7 @@ Var Dropout(const Var& a, double rate, bool train, Rng& rng) {
 }
 
 Var Transpose(const Var& a) {
-  Tensor out(a->value.cols(), a->value.rows());
-  for (size_t r = 0; r < a->value.rows(); ++r) {
-    for (size_t c = 0; c < a->value.cols(); ++c) out(c, r) = a->value(r, c);
-  }
-  return MakeOpNode(std::move(out), {a}, [](Node& node) {
+  return MakeOpNode(Transposed(a->value), {a}, [](Node& node) {
     for (size_t r = 0; r < node.grad.rows(); ++r) {
       for (size_t c = 0; c < node.grad.cols(); ++c) {
         node.inputs[0]->grad(c, r) += node.grad(r, c);

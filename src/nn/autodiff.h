@@ -1,6 +1,7 @@
 #ifndef LOSSYTS_NN_AUTODIFF_H_
 #define LOSSYTS_NN_AUTODIFF_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -30,13 +31,21 @@ using Var = std::shared_ptr<Node>;
 Var MakeVar(Tensor value, bool requires_grad = false);
 
 /// Runs reverse-mode accumulation from `loss` (must be 1×1). Zeroes grads of
-/// every node in the graph first, then seeds d(loss)/d(loss) = 1.
+/// every node in the graph first, then seeds d(loss)/d(loss) = 1. Also
+/// closes the calling thread's TensorPool step.
 void Backward(const Var& loss);
 
 // ---- Core ops. Shapes are asserted; all return new graph nodes. ----
 
-/// Matrix product a(m×k) · b(k×n).
+/// Matrix product a(m×k) · b(k×n). Its backward skips the product for an
+/// input without requires_grad.
 Var MatMul(const Var& a, const Var& b);
+/// Row i is a's row i where active[i] is set, else the column mean of b
+/// (a and b of one shape, one flag per row). Informer's ProbSparse head:
+/// active queries keep their attention output, lazy ones output the mean of
+/// V. Bit-identical, values and gradients, to the one-hot products
+/// select·a + complement·((1/L)·ones·b) it replaces.
+Var RowSelectOrMean(const Var& a, const Var& b, std::vector<uint8_t> active);
 /// Element-wise sum (same shape).
 Var Add(const Var& a, const Var& b);
 /// Adds a 1×n bias row to every row of a (m×n).

@@ -230,6 +230,18 @@ CheckReport CheckStridedRowPool(uint64_t seed) {
   });
 }
 
+CheckReport CheckRowSelectOrMean(uint64_t seed) {
+  Rng rng(seed);
+  Var a = MakeVar(RandomTensor(rng, 5, 3), true);
+  Var b = MakeVar(RandomTensor(rng, 5, 3), true);
+  // Rows 0 and 3 select a; the others take b's column mean.
+  const std::vector<uint8_t> active = {1, 0, 0, 1, 0};
+  const Tensor w = RandomTensor(rng, 5, 3);
+  return CheckGradients({{"a", a}, {"b", b}}, [a, b, active, w] {
+    return WeightedMean(nn::RowSelectOrMean(a, b, active), w);
+  });
+}
+
 CheckReport CheckGruCell(uint64_t seed) {
   Rng rng(seed);
   auto cell = std::make_shared<nn::GruCell>(3, 5, rng);
@@ -332,6 +344,7 @@ const std::vector<OpEntry>& OpRegistry() {
       {"Mean", &CheckMean},
       {"MseLoss", &CheckMseLoss},
       {"StridedRowPool", &CheckStridedRowPool},
+      {"RowSelectOrMean", &CheckRowSelectOrMean},
       {"GruCell", &CheckGruCell},
       {"Attention", [](uint64_t s) { return CheckAttention(s, false); }},
       {"AttentionCausal", [](uint64_t s) { return CheckAttention(s, true); }},

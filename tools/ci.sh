@@ -179,13 +179,19 @@ simd_smoke() {
 # `lossyts stream`, and finally a serve round trip with per-series streaming
 # state enabled: append over the socket, read StreamInfo, restart the
 # daemon, and require the state rebuilt from the WAL/checkpoint to match.
-# LOSSYTS_STREAM_ITERS scales micro_stream's best-of timing trials
-# (default 3); the floors themselves are self-relative, so they hold under
-# the sanitizer legs too.
+# LOSSYTS_STREAM_ITERS scales micro_stream's paired timing trials
+# (default 3). The ingest-ratio floor is checked in the plain leg only: the
+# sanitizer builds slow the per-point streaming path more than batch, so the
+# ratio is not self-relative there (LOSSYTS_MICRO_STREAM_RATIO=0 turns that
+# one floor off); every leg keeps the byte-identity and recall checks.
 stream_smoke() {
-  local dir="$1"
+  local dir="$1" sanitize="$2"
   local bin="${dir}/tools/lossyts"
-  "${dir}/bench/micro_stream"
+  if [[ -n "${sanitize}" ]]; then
+    LOSSYTS_MICRO_STREAM_RATIO=0 "${dir}/bench/micro_stream"
+  else
+    "${dir}/bench/micro_stream"
+  fi
   "${bin}" stream Solar --codec PMC --eb 0.05 --detector level-ph \
     --no-retrain >/dev/null
   local catalog="${dir}/stream_smoke"
@@ -289,7 +295,7 @@ run_config() {
   simd_smoke "${dir}"
   serve_smoke "${dir}"
   query_smoke "${dir}"
-  stream_smoke "${dir}"
+  stream_smoke "${dir}" "${sanitize}"
 }
 
 flag_guard
@@ -306,12 +312,12 @@ ctest --test-dir "${BUILD_ROOT}/plain" --output-on-failure -j "${JOBS}" \
 ASAN_OPTIONS=detect_leaks=0 run_config asan address
 UBSAN_OPTIONS=halt_on_error=1 run_config ubsan undefined
 # TSan is restricted to the concurrency suite: the pool, the progress
-# reporter, the artifact store, the CR-numerator memo, the
-# parallel-vs-sequential grid tests, and the serve-daemon/store
-# reader-vs-writer races exercise every cross-thread edge, and a full TSan
-# run of the NN training tests would dominate CI time without touching more
-# shared state.
+# reporter, the artifact store, the CR-numerator memo, the per-thread
+# tensor buffer pool, the parallel-vs-sequential grid tests, and the
+# serve-daemon/store reader-vs-writer races exercise every cross-thread
+# edge, and a full TSan run of the NN training tests would dominate CI time
+# without touching more shared state.
 TSAN_OPTIONS=halt_on_error=1 run_config tsan thread \
-  'ThreadPoolTest|ProgressTest|SeedTest|GridConcurrencyTest|ArtifactStoreTest|StoreConcurrencyTest|ServeConcurrencyTest|ServeDaemonConcurrencyTest|StoreRaceConcurrencyTest|PipelineConcurrencyTest'
+  'ThreadPoolTest|ProgressTest|SeedTest|GridConcurrencyTest|ArtifactStoreTest|StoreConcurrencyTest|ServeConcurrencyTest|ServeDaemonConcurrencyTest|StoreRaceConcurrencyTest|PipelineConcurrencyTest|TensorPoolTest'
 
 echo "=== ci.sh: all configurations passed ==="
