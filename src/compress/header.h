@@ -70,36 +70,49 @@ inline size_t SafeReserve(uint32_t num_points) {
 
 /// Validates that the series metadata fits the wire header exactly: i32
 /// first timestamp, u16 sampling interval, u32 point count. MakeHeader casts
-/// unconditionally, so every Compress implementation calls this first —
-/// otherwise e.g. an interval of 70000 s would silently round-trip as 4464 s
-/// and the header round-trip oracle (conform/oracles.h) would fire.
-inline Status CheckHeaderRepresentable(const TimeSeries& series) {
-  if (series.start_timestamp() < INT32_MIN ||
-      series.start_timestamp() > INT32_MAX) {
+/// unconditionally, so every Compress implementation (and a stream's Open)
+/// calls this first — otherwise e.g. an interval of 70000 s would silently
+/// round-trip as 4464 s and the header round-trip oracle (conform/oracles.h)
+/// would fire.
+inline Status CheckHeaderRepresentable(int64_t first_timestamp,
+                                       int64_t interval_seconds,
+                                       uint64_t num_points) {
+  if (first_timestamp < INT32_MIN || first_timestamp > INT32_MAX) {
     return Status::InvalidArgument(
         "first timestamp does not fit the i32 header field: " +
-        std::to_string(series.start_timestamp()));
+        std::to_string(first_timestamp));
   }
-  if (series.interval_seconds() < 0 || series.interval_seconds() > 65535) {
+  if (interval_seconds < 0 || interval_seconds > 65535) {
     return Status::InvalidArgument(
         "sampling interval does not fit the u16 header field: " +
-        std::to_string(series.interval_seconds()));
+        std::to_string(interval_seconds));
   }
-  if (series.size() > 0xFFFFFFFFull) {
+  if (num_points > 0xFFFFFFFFull) {
     return Status::InvalidArgument(
         "point count does not fit the u32 header field: " +
-        std::to_string(series.size()));
+        std::to_string(num_points));
   }
   return Status::OK();
 }
 
-inline BlobHeader MakeHeader(AlgorithmId algorithm, const TimeSeries& series) {
+inline Status CheckHeaderRepresentable(const TimeSeries& series) {
+  return CheckHeaderRepresentable(series.start_timestamp(),
+                                  series.interval_seconds(), series.size());
+}
+
+inline BlobHeader MakeHeader(AlgorithmId algorithm, int64_t first_timestamp,
+                             int64_t interval_seconds, uint64_t num_points) {
   BlobHeader h;
   h.algorithm = algorithm;
-  h.first_timestamp = static_cast<int32_t>(series.start_timestamp());
-  h.interval_seconds = static_cast<uint16_t>(series.interval_seconds());
-  h.num_points = static_cast<uint32_t>(series.size());
+  h.first_timestamp = static_cast<int32_t>(first_timestamp);
+  h.interval_seconds = static_cast<uint16_t>(interval_seconds);
+  h.num_points = static_cast<uint32_t>(num_points);
   return h;
+}
+
+inline BlobHeader MakeHeader(AlgorithmId algorithm, const TimeSeries& series) {
+  return MakeHeader(algorithm, series.start_timestamp(),
+                    series.interval_seconds(), series.size());
 }
 
 }  // namespace lossyts::compress

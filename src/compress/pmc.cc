@@ -1,33 +1,9 @@
 #include "compress/pmc.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstring>
-#include <limits>
-
 #include "compress/header.h"
-#include "compress/serde.h"
+#include "compress/segments.h"
 
 namespace lossyts::compress {
-
-namespace {
-
-constexpr size_t kMaxSegmentLength = 65535;  // Lengths are stored as u16.
-
-// Per-segment coefficient width flags. ModelarDB stores model coefficients
-// as 32-bit floats; we do the same whenever the rounded value still lies in
-// the segment's feasible mean interval, falling back to f64 otherwise so the
-// error-bound guarantee is never compromised.
-constexpr uint8_t kF32 = 0;
-constexpr uint8_t kF64 = 1;
-
-struct Segment {
-  uint16_t length;
-  double mean;
-  uint8_t width;  // kF32 or kF64.
-};
-
-}  // namespace
 
 Result<std::vector<uint8_t>> PmcCompressor::Compress(
     const TimeSeries& series, double error_bound) const {
@@ -38,128 +14,16 @@ Result<std::vector<uint8_t>> PmcCompressor::Compress(
   if (Status s = CheckFiniteValues(series); !s.ok()) return s;
   if (Status s = CheckHeaderRepresentable(series); !s.ok()) return s;
 
-  std::vector<Segment> segments;
-  const std::vector<double>& v = series.values();
-
-  size_t window_start = 0;
-  double window_sum = 0.0;
-  // The running mean must stay within [lo, hi], the intersection of the
-  // allowance intervals of every point currently in the window.
-  double lo = -std::numeric_limits<double>::infinity();
-  double hi = std::numeric_limits<double>::infinity();
-  double committed_mean = 0.0;  // Last mean known to satisfy the window.
-
-  auto close_segment = [&](size_t end) {
-    Segment segment;
-    segment.length = static_cast<uint16_t>(end - window_start);
-    const double rounded = static_cast<double>(
-        static_cast<float>(committed_mean));
-    // The isfinite check matters when a huge value's allowance endpoint
-    // overflowed to ±inf: the f32 cast then overflows too, and an infinite
-    // `rounded` would compare "inside" the infinite interval.
-    if (options_.f32_coefficients && std::isfinite(rounded) && rounded >= lo &&
-        rounded <= hi) {
-      segment.mean = rounded;
-      segment.width = kF32;
-    } else {
-      segment.mean = committed_mean;
-      segment.width = kF64;
-    }
-    segments.push_back(segment);
-  };
-
-  for (size_t i = 0; i < v.size(); ++i) {
-    const Allowance a = RelativeAllowance(v[i], error_bound);
-    const double new_lo = std::max(lo, a.lo);
-    const double new_hi = std::min(hi, a.hi);
-    const double new_sum = window_sum + v[i];
-    const double new_mean =
-        new_sum / static_cast<double>(i - window_start + 1);
-    // isfinite guards the same-sign overflow of window_sum near DBL_MAX: an
-    // infinite mean passes the interval test once an allowance endpoint has
-    // itself overflowed to ±inf, yet decodes to a non-recompressible inf.
-    const bool fits = new_lo <= new_hi && std::isfinite(new_mean) &&
-                      new_mean >= new_lo && new_mean <= new_hi &&
-                      (i - window_start) < kMaxSegmentLength;
-    if (fits) {
-      lo = new_lo;
-      hi = new_hi;
-      window_sum = new_sum;
-      committed_mean = new_mean;
-    } else {
-      close_segment(i);
-      window_start = i;
-      window_sum = v[i];
-      lo = a.lo;
-      hi = a.hi;
-      committed_mean = v[i];
-    }
-  }
-  close_segment(v.size());
-
-  ByteWriter writer;
-  WriteHeader(MakeHeader(AlgorithmId::kPmc, series), writer);
-  if (Status s = PutCountU32(writer, segments.size(), "PMC segment");
-      !s.ok()) {
-    return s;
-  }
-  for (const Segment& s : segments) {
-    writer.PutU16(s.length);
-    writer.PutU8(s.width);
-    if (s.width == kF32) {
-      uint32_t bits;
-      const float f = static_cast<float>(s.mean);
-      std::memcpy(&bits, &f, sizeof(bits));
-      writer.PutU32(bits);
-    } else {
-      writer.PutDouble(s.mean);
-    }
-  }
-  return writer.Finish();
+  PmcEncoder encoder(error_bound, options_.f32_coefficients);
+  for (double v : series.values()) encoder.Add(v);
+  encoder.Close();
+  return encoder.Seal(series.start_timestamp(), series.interval_seconds(),
+                      series.size());
 }
 
 Result<TimeSeries> PmcCompressor::Decompress(
     const std::vector<uint8_t>& blob) const {
-  ByteReader reader(blob);
-  Result<BlobHeader> header = ReadHeader(reader, AlgorithmId::kPmc);
-  if (!header.ok()) return header.status();
-
-  Result<uint32_t> num_segments = reader.GetU32();
-  if (!num_segments.ok()) return num_segments.status();
-
-  std::vector<double> values;
-  values.reserve(SafeReserve(header->num_points));
-  for (uint32_t s = 0; s < *num_segments; ++s) {
-    Result<uint16_t> length = reader.GetU16();
-    if (!length.ok()) return length.status();
-    if (values.size() + *length > header->num_points) {
-      return Status::Corruption(
-          "PMC segment lengths overrun the point count");
-    }
-    Result<uint8_t> width = reader.GetU8();
-    if (!width.ok()) return width.status();
-    double mean = 0.0;
-    if (*width == kF32) {
-      Result<uint32_t> bits = reader.GetU32();
-      if (!bits.ok()) return bits.status();
-      float f;
-      uint32_t b = *bits;
-      std::memcpy(&f, &b, sizeof(f));
-      mean = static_cast<double>(f);
-    } else if (*width == kF64) {
-      Result<double> value = reader.GetDouble();
-      if (!value.ok()) return value.status();
-      mean = *value;
-    } else {
-      return Status::Corruption("invalid PMC coefficient width flag");
-    }
-    for (uint16_t k = 0; k < *length; ++k) values.push_back(mean);
-  }
-  if (values.size() != header->num_points) {
-    return Status::Corruption("PMC segment lengths do not sum to point count");
-  }
-  return TimeSeries(header->first_timestamp, header->interval_seconds,
-                    std::move(values));
+  return DecodeSegments(blob, AlgorithmId::kPmc);
 }
 
 }  // namespace lossyts::compress

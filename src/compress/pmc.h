@@ -15,7 +15,8 @@ namespace lossyts::compress {
 /// its mean, and the latest point starts the next window.
 ///
 /// Blob layout after the shared header: u32 segment count, then per segment a
-/// u16 length and the f64 mean.
+/// u16 length, a u8 width flag, and the mean as f32 (flag 0) or f64 (flag 1).
+/// The window, the narrowing and the parser live in compress/segments.h.
 class PmcCompressor : public Compressor {
  public:
   struct Options {

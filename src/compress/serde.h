@@ -36,6 +36,7 @@ class ByteWriter {
   }
 
   size_t size() const { return bytes_.size(); }
+  const std::vector<uint8_t>& bytes() const { return bytes_; }
   std::vector<uint8_t> Finish() { return std::move(bytes_); }
 
  private:

@@ -17,7 +17,10 @@ namespace lossyts::compress {
 /// Blob layout after the shared header: u32 segment count, then per segment a
 /// u16 length, the f64 anchor value and the f64 slope per index step. Two
 /// model coefficients per segment — the storage overhead the paper identifies
-/// as Swing's CR weakness relative to PMC.
+/// as Swing's CR weakness relative to PMC. The coefficients stay f64: the
+/// slope is multiplied by the in-segment index, so f32 rounding would drift
+/// linearly along the segment and force constant verify-shrink fallbacks.
+/// The filter, the verify-shrink and the parser live in compress/segments.h.
 class SwingCompressor : public Compressor {
  public:
   std::string_view name() const override { return "SWING"; }

@@ -7,10 +7,10 @@
 #include <cstdio>
 
 #include "compress/pipeline.h"
+#include "compress/segments.h"
 #include "core/metrics.h"
 #include "store/format.h"
 #include "store/reader.h"
-#include "store/segments.h"
 #include "store/writer.h"
 
 namespace lossyts::eval {
@@ -144,8 +144,8 @@ Result<TransformArtifact> LoadTransformFromStore(
       model_chunks = false;
       break;
     }
-    Result<store::SegmentSet> set =
-        store::ParseSegments(reader.ChunkPayload(i));
+    Result<compress::SegmentSet> set = compress::ParseSegments(
+        reader.ChunkPayload(i), reader.chunks()[i].algorithm);
     if (!set.ok()) return set.status();
     segments += set->segments.size();
   }

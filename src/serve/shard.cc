@@ -504,8 +504,7 @@ Result<SeriesStreamInfo> Shard::StreamInfo(const std::string& series) const {
   info.rejected = state.stream_rejected;
   info.segments = state.stream->segments();
   info.open_length = state.stream->open_length();
-  const stream::StreamingCompressor::OpenWindowModel open =
-      state.stream->Provisional();
+  const compress::SegmentModel open = state.stream->Provisional();
   info.open_anchor = open.anchor;
   info.open_slope = open.slope;
   return info;

@@ -33,15 +33,16 @@ Result<ChunkPartial> ComputeChunkPartial(const StoreReader& reader,
   partial.lossless = IsLosslessAlgorithm(chunk.algorithm);
 
   if (allow_pushdown && SupportsPushdown(chunk.algorithm)) {
-    Result<SegmentSet> set = ParseSegments(reader.ChunkPayload(index));
+    Result<compress::SegmentSet> set =
+        compress::ParseSegments(reader.ChunkPayload(index), chunk.algorithm);
     if (!set.ok()) return set.status();
     partial.pushdown = true;
-    for (const SegmentModel& segment : set->segments) {
-      const uint32_t seg_first = segment.start;
-      const uint32_t seg_last = segment.start + segment.length - 1;
+    for (const compress::SegmentModel& segment : set->segments) {
+      const uint32_t seg_first = static_cast<uint32_t>(segment.start_index);
+      const uint32_t seg_last = seg_first + segment.length - 1;
       if (seg_last < first || seg_first > last) continue;
-      const uint32_t lo = std::max(first, seg_first) - segment.start;
-      const uint32_t hi = std::min(last, seg_last) - segment.start;
+      const uint32_t lo = std::max(first, seg_first) - seg_first;
+      const uint32_t hi = std::min(last, seg_last) - seg_first;
       const SegmentAggregate agg = AggregateSegment(segment, lo, hi);
       partial.sum += agg.sum;
       partial.min = std::min(partial.min, agg.min);

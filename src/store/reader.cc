@@ -8,9 +8,9 @@
 #include "compress/gorilla.h"
 #include "compress/header.h"
 #include "compress/pipeline.h"
+#include "compress/segments.h"
 #include "compress/serde.h"
 #include "core/thread_pool.h"
-#include "store/segments.h"
 #include "zip/crc32.h"
 #include "zip/frame.h"
 
@@ -329,11 +329,12 @@ Result<double> StoreReader::ReadPoint(int64_t timestamp) const {
     case compress::AlgorithmId::kPmc:
     case compress::AlgorithmId::kSwing: {
       // Model chunks: walk the segment list, no point materialization.
-      Result<SegmentSet> set = ParseSegments(ChunkPayload(chunk_index));
+      Result<compress::SegmentSet> set =
+          compress::ParseSegments(ChunkPayload(chunk_index), chunk.algorithm);
       if (!set.ok()) return set.status();
-      for (const SegmentModel& segment : set->segments) {
-        if (k < static_cast<size_t>(segment.start) + segment.length) {
-          return SegmentValueAt(segment, k - segment.start);
+      for (const compress::SegmentModel& segment : set->segments) {
+        if (k < segment.start_index + segment.length) {
+          return segment.ValueAt(k - segment.start_index);
         }
       }
       return Status::Corruption("chunk segments do not cover the point");

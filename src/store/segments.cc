@@ -2,128 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-
-#include "compress/serde.h"
 
 namespace lossyts::store {
 
-namespace {
-
-// PMC per-segment coefficient width flags (pmc.cc).
-constexpr uint8_t kF32 = 0;
-constexpr uint8_t kF64 = 1;
-
-Result<SegmentSet> ParsePmc(compress::ByteReader& reader) {
-  Result<compress::BlobHeader> header =
-      compress::ReadHeader(reader, compress::AlgorithmId::kPmc);
-  if (!header.ok()) return header.status();
-  Result<uint32_t> num_segments = reader.GetU32();
-  if (!num_segments.ok()) return num_segments.status();
-
-  SegmentSet set;
-  set.header = *header;
-  set.segments.reserve(std::min<size_t>(*num_segments, size_t{1} << 16));
-  uint64_t covered = 0;
-  for (uint32_t s = 0; s < *num_segments; ++s) {
-    Result<uint16_t> length = reader.GetU16();
-    if (!length.ok()) return length.status();
-    if (covered + *length > header->num_points) {
-      return Status::Corruption("PMC segment lengths overrun the point count");
-    }
-    Result<uint8_t> width = reader.GetU8();
-    if (!width.ok()) return width.status();
-    double mean = 0.0;
-    if (*width == kF32) {
-      Result<uint32_t> bits = reader.GetU32();
-      if (!bits.ok()) return bits.status();
-      float f;
-      uint32_t b = *bits;
-      std::memcpy(&f, &b, sizeof(f));
-      mean = static_cast<double>(f);
-    } else if (*width == kF64) {
-      Result<double> value = reader.GetDouble();
-      if (!value.ok()) return value.status();
-      mean = *value;
-    } else {
-      return Status::Corruption("invalid PMC coefficient width flag");
-    }
-    SegmentModel model;
-    model.start = static_cast<uint32_t>(covered);
-    model.length = *length;
-    model.anchor = mean;
-    model.slope = 0.0;
-    set.segments.push_back(model);
-    covered += *length;
-  }
-  if (covered != header->num_points) {
-    return Status::Corruption("PMC segment lengths do not sum to point count");
-  }
-  return set;
-}
-
-Result<SegmentSet> ParseSwing(compress::ByteReader& reader) {
-  Result<compress::BlobHeader> header =
-      compress::ReadHeader(reader, compress::AlgorithmId::kSwing);
-  if (!header.ok()) return header.status();
-  Result<uint32_t> num_segments = reader.GetU32();
-  if (!num_segments.ok()) return num_segments.status();
-
-  SegmentSet set;
-  set.header = *header;
-  set.segments.reserve(std::min<size_t>(*num_segments, size_t{1} << 16));
-  uint64_t covered = 0;
-  for (uint32_t s = 0; s < *num_segments; ++s) {
-    Result<uint16_t> length = reader.GetU16();
-    if (!length.ok()) return length.status();
-    if (covered + *length > header->num_points) {
-      return Status::Corruption(
-          "Swing segment lengths overrun the point count");
-    }
-    Result<double> anchor = reader.GetDouble();
-    if (!anchor.ok()) return anchor.status();
-    Result<double> slope = reader.GetDouble();
-    if (!slope.ok()) return slope.status();
-    SegmentModel model;
-    model.start = static_cast<uint32_t>(covered);
-    model.length = *length;
-    model.anchor = *anchor;
-    model.slope = *slope;
-    set.segments.push_back(model);
-    covered += *length;
-  }
-  if (covered != header->num_points) {
-    return Status::Corruption(
-        "Swing segment lengths do not sum to point count");
-  }
-  return set;
-}
-
-}  // namespace
-
-Result<SegmentSet> ParseSegments(const std::vector<uint8_t>& blob) {
-  if (blob.empty()) return Status::Corruption("empty blob has no segments");
-  compress::ByteReader reader(blob);
-  switch (blob[0]) {
-    case static_cast<uint8_t>(compress::AlgorithmId::kPmc):
-      return ParsePmc(reader);
-    case static_cast<uint8_t>(compress::AlgorithmId::kSwing):
-      return ParseSwing(reader);
-    default:
-      return Status::InvalidArgument(
-          "blob algorithm has no explicit segment model");
-  }
-}
-
-SegmentAggregate AggregateSegment(const SegmentModel& s, uint32_t first,
-                                  uint32_t last) {
+SegmentAggregate AggregateSegment(const compress::SegmentModel& s,
+                                  uint32_t first, uint32_t last) {
   SegmentAggregate agg;
   const uint64_t n = static_cast<uint64_t>(last) - first + 1;
   agg.count = n;
   // Endpoint reconstructions; a linear function's extremes over an index
   // range sit at the range ends, so these pin min/max/max_abs exactly.
-  const double v_first = SegmentValueAt(s, first);
-  const double v_last = SegmentValueAt(s, last);
+  const double v_first = s.ValueAt(first);
+  const double v_last = s.ValueAt(last);
   agg.min = std::min(v_first, v_last);
   agg.max = std::max(v_first, v_last);
   agg.max_abs = std::max(std::fabs(v_first), std::fabs(v_last));

@@ -242,16 +242,24 @@ Status StoreWriter::Append(const TimeSeries& series) {
   for (double v : series.values()) buffer_.push_back(v);
   points_buffered_ = buffer_.size();
 
-  while (buffer_.size() >= options_.chunk_span) {
-    std::vector<double> chunk(buffer_.begin(),
-                              buffer_.begin() + options_.chunk_span);
+  // Write every full chunk, then drop the written prefix with one erase —
+  // also when a write fails part-way, so the buffer never re-holds points
+  // that are already in a chunk.
+  size_t written = 0;
+  Status status = Status::OK();
+  while (buffer_.size() - written >= options_.chunk_span) {
+    const auto begin = buffer_.begin() + static_cast<ptrdiff_t>(written);
+    const std::vector<double> chunk(begin, begin + options_.chunk_span);
     const int64_t first_ts =
         start_timestamp_ + static_cast<int64_t>(points_flushed_) * interval_;
-    if (Status s = WriteChunk(chunk, first_ts); !s.ok()) return s;
-    buffer_.erase(buffer_.begin(), buffer_.begin() + options_.chunk_span);
-    points_buffered_ = buffer_.size();
+    status = WriteChunk(chunk, first_ts);
+    if (!status.ok()) break;
+    written += options_.chunk_span;
   }
-  return Status::OK();
+  buffer_.erase(buffer_.begin(),
+                buffer_.begin() + static_cast<ptrdiff_t>(written));
+  points_buffered_ = buffer_.size();
+  return status;
 }
 
 Status StoreWriter::Finish() {

@@ -108,8 +108,7 @@ Result<OnlineEvalResult> RunOnlineEval(const TimeSeries& series,
     const size_t begin = end - train_len;
     std::vector<double> train_values;
     train_values.reserve(train_len);
-    const StreamingCompressor::OpenWindowModel prov =
-        (*compressor)->Provisional();
+    const compress::SegmentModel prov = (*compressor)->Provisional();
     for (size_t k = begin; k < end; ++k) {
       train_values.push_back(k < recon.size()
                                  ? recon[k]
@@ -140,8 +139,7 @@ Result<OnlineEvalResult> RunOnlineEval(const TimeSeries& series,
     // sees it. The input window is the last input_length model-visible
     // values — closed reconstruction plus the provisional open window.
     if (model != nullptr && i >= input_length) {
-      const StreamingCompressor::OpenWindowModel prov =
-          (*compressor)->Provisional();
+      const compress::SegmentModel prov = (*compressor)->Provisional();
       for (size_t k = i - input_length; k < i; ++k) {
         window[k - (i - input_length)] =
             k < recon.size() ? recon[k] : prov.ValueAt(k - recon.size());

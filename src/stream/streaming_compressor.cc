@@ -1,28 +1,12 @@
 #include "stream/streaming_compressor.h"
 
-#include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <deque>
-#include <limits>
-#include <utility>
 
 #include "compress/compressor.h"
 #include "compress/header.h"
-#include "compress/serde.h"
 
 namespace lossyts::stream {
-
-namespace {
-
-/// Segment lengths are stored as u16 on the wire (see pmc.cc / swing.cc).
-constexpr size_t kMaxSegmentLength = 65535;
-
-/// PMC coefficient width flags, mirrored from pmc.cc.
-constexpr uint8_t kF32 = 0;
-constexpr uint8_t kF64 = 1;
-
-}  // namespace
 
 Status StreamingCompressor::Open(int64_t start_timestamp,
                                  int32_t interval_seconds,
@@ -30,24 +14,16 @@ Status StreamingCompressor::Open(int64_t start_timestamp,
   if (Status s = compress::CheckErrorBound(error_bound); !s.ok()) return s;
   // The same header-representability gate as batch Compress, checked up
   // front so a stream never accepts points it cannot finalize.
-  if (start_timestamp < INT32_MIN || start_timestamp > INT32_MAX) {
-    return Status::InvalidArgument(
-        "first timestamp does not fit the i32 header field: " +
-        std::to_string(start_timestamp));
-  }
-  if (interval_seconds < 0 || interval_seconds > 65535) {
-    return Status::InvalidArgument(
-        "sampling interval does not fit the u16 header field: " +
-        std::to_string(interval_seconds));
+  if (Status s = compress::CheckHeaderRepresentable(start_timestamp,
+                                                    interval_seconds, 0);
+      !s.ok()) {
+    return s;
   }
   open_ = true;
   start_timestamp_ = start_timestamp;
   interval_seconds_ = interval_seconds;
   error_bound_ = error_bound;
   points_ = 0;
-  closed_points_ = 0;
-  segments_ = 0;
-  payload_.clear();
   Reset();
   return Status::OK();
 }
@@ -83,173 +59,73 @@ Result<std::vector<uint8_t>> StreamingCompressor::Flush(
     return Status::InvalidArgument("cannot compress an empty series");
   }
   DoClose(closed);
-  compress::ByteWriter writer;
-  compress::BlobHeader header;
-  header.algorithm = static_cast<compress::AlgorithmId>(algorithm_id());
-  header.first_timestamp = static_cast<int32_t>(start_timestamp_);
-  header.interval_seconds = static_cast<uint16_t>(interval_seconds_);
-  header.num_points = static_cast<uint32_t>(points_);
-  compress::WriteHeader(header, writer);
-  if (Status s = compress::PutCountU32(writer, segments_, count_label());
-      !s.ok()) {
-    return s;
-  }
-  writer.PutBytes(payload_);
   open_ = false;
-  return writer.Finish();
+  return encoder().Seal(start_timestamp_, interval_seconds_, points_);
 }
 
 void StreamingCompressor::ProvisionalTail(std::vector<double>* out) const {
-  const OpenWindowModel model = Provisional();
-  for (uint64_t k = 0; k < model.length; ++k) {
-    out->push_back(model.ValueAt(static_cast<size_t>(k)));
-  }
+  const compress::SegmentModel model = Provisional();
+  for (uint32_t k = 0; k < model.length; ++k) out->push_back(model.ValueAt(k));
 }
 
-void StreamingCompressor::ScratchDouble(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  for (int i = 0; i < 8; ++i) scratch_.push_back((bits >> (8 * i)) & 0xFF);
-}
-
-void StreamingCompressor::EmitScratch(uint32_t length, double anchor,
-                                      double slope,
-                                      std::vector<StreamSegment>* closed) {
-  payload_.insert(payload_.end(), scratch_.begin(), scratch_.end());
+void StreamingCompressor::Report(const compress::SegmentModel& model,
+                                 std::vector<StreamSegment>* closed) const {
   if (closed != nullptr) {
-    StreamSegment segment;
-    segment.start_index = closed_points_;
-    segment.length = length;
-    segment.anchor = anchor;
-    segment.slope = slope;
-    segment.encoded = scratch_;
-    closed->push_back(std::move(segment));
+    closed->push_back(StreamSegment{model, encoder().LastEncoding()});
   }
-  closed_points_ += length;
-  ++segments_;
-  scratch_.clear();
 }
 
 namespace {
 
-/// Streaming PMC-Mean: a direct transliteration of pmc.cc's window state.
-/// One Append closes at most one segment (the window up to but excluding the
-/// point that broke the running-mean invariant).
+/// Streaming PMC-Mean: the batch encoder fed one point at a time. One Append
+/// closes at most one segment (the window up to but excluding the point that
+/// broke the running-mean invariant).
 class PmcStreamingCompressor : public StreamingCompressor {
  public:
   std::string_view name() const override { return "PMC"; }
 
-  OpenWindowModel Provisional() const override {
-    return OpenWindowModel{window_len_, committed_mean_, 0.0};
+  compress::SegmentModel Provisional() const override {
+    return pmc_.Provisional();
   }
 
  protected:
-  void Reset() override {
-    window_len_ = 0;
-    window_sum_ = 0.0;
-    lo_ = -std::numeric_limits<double>::infinity();
-    hi_ = std::numeric_limits<double>::infinity();
-    committed_mean_ = 0.0;
-  }
+  void Reset() override { pmc_ = compress::PmcEncoder(error_bound_, true); }
 
   void DoAppend(double value, std::vector<StreamSegment>* closed) override {
-    const compress::Allowance a =
-        compress::RelativeAllowance(value, error_bound_);
-    const double new_lo = std::max(lo_, a.lo);
-    const double new_hi = std::min(hi_, a.hi);
-    const double new_sum = window_sum_ + value;
-    const double new_mean =
-        new_sum / static_cast<double>(window_len_ + 1);
-    // Identical acceptance predicate to the batch loop, including the
-    // isfinite guard against same-sign overflow of the window sum.
-    const bool fits = new_lo <= new_hi && std::isfinite(new_mean) &&
-                      new_mean >= new_lo && new_mean <= new_hi &&
-                      window_len_ < kMaxSegmentLength;
-    if (fits) {
-      lo_ = new_lo;
-      hi_ = new_hi;
-      window_sum_ = new_sum;
-      committed_mean_ = new_mean;
-      ++window_len_;
-    } else {
-      CloseWindow(closed);
-      window_len_ = 1;
-      window_sum_ = value;
-      lo_ = a.lo;
-      hi_ = a.hi;
-      committed_mean_ = value;
+    if (std::optional<compress::SegmentModel> model = pmc_.Add(value)) {
+      Report(*model, closed);
     }
   }
 
   void DoClose(std::vector<StreamSegment>* closed) override {
-    if (window_len_ > 0) CloseWindow(closed);
-    window_len_ = 0;
+    if (pmc_.length() > 0) Report(pmc_.Close(), closed);
   }
 
-  uint8_t algorithm_id() const override {
-    return static_cast<uint8_t>(compress::AlgorithmId::kPmc);
-  }
-  const char* count_label() const override { return "PMC segment"; }
+  const compress::SegmentEncoder& encoder() const override { return pmc_; }
 
  private:
-  void CloseWindow(std::vector<StreamSegment>* closed) {
-    const double rounded =
-        static_cast<double>(static_cast<float>(committed_mean_));
-    // Same f32-narrowing rule as pmc.cc's close_segment, including the
-    // isfinite guard for allowance endpoints that overflowed to ±inf.
-    double anchor;
-    uint8_t width;
-    if (std::isfinite(rounded) && rounded >= lo_ && rounded <= hi_) {
-      anchor = rounded;
-      width = kF32;
-    } else {
-      anchor = committed_mean_;
-      width = kF64;
-    }
-    ScratchU16(static_cast<uint16_t>(window_len_));
-    ScratchU8(width);
-    if (width == kF32) {
-      uint32_t bits;
-      const float f = static_cast<float>(anchor);
-      std::memcpy(&bits, &f, sizeof(bits));
-      ScratchU32(bits);
-    } else {
-      ScratchDouble(anchor);
-    }
-    EmitScratch(static_cast<uint32_t>(window_len_), anchor, 0.0, closed);
-  }
-
-  size_t window_len_ = 0;
-  double window_sum_ = 0.0;
-  double lo_ = 0.0;
-  double hi_ = 0.0;
-  double committed_mean_ = 0.0;
+  compress::PmcEncoder pmc_{0.0, true};
 };
 
-/// Streaming Swing. The batch algorithm's verify-shrink can hand points back
-/// to the next segment (swing.cc restarts its scan at start + len), so the
-/// open window is buffered and leftovers are re-fed through the same
-/// acceptance loop — one Append can cascade several segment closes, and the
-/// emitted sequence is exactly the batch one.
+/// Streaming Swing. Batch Compress restarts its scan where a verify-shrunk
+/// segment ended, so the open candidate is buffered and the points past a
+/// shortened segment are re-fed through the same acceptance loop — one
+/// Append can cascade several segment closes, and the emitted sequence is
+/// exactly the batch one.
 class SwingStreamingCompressor : public StreamingCompressor {
  public:
   std::string_view name() const override { return "SWING"; }
 
-  OpenWindowModel Provisional() const override {
-    const size_t n = buffer_.size();
-    if (n == 0) return OpenWindowModel{};
-    double slope = n > 1 ? 0.5 * (slope_lo_ + slope_hi_) : 0.0;
-    if (!std::isfinite(slope)) slope = 0.0;  // Pre-verification fallback.
-    return OpenWindowModel{n, buffer_[0], slope};
+  compress::SegmentModel Provisional() const override {
+    if (buffer_.empty()) return compress::SegmentModel{closed_points()};
+    return swing_.Provisional();
   }
 
  protected:
   void Reset() override {
+    swing_ = compress::SwingEncoder(error_bound_);
     buffer_.clear();
-    intervals_.clear();
     pending_.clear();
-    slope_lo_ = -std::numeric_limits<double>::infinity();
-    slope_hi_ = std::numeric_limits<double>::infinity();
   }
 
   void DoAppend(double value, std::vector<StreamSegment>* closed) override {
@@ -257,7 +133,7 @@ class SwingStreamingCompressor : public StreamingCompressor {
     // or close directly, skipping the deque round trip.
     if (pending_.empty()) {
       if (buffer_.empty()) {
-        StartSegment(value);
+        StartCandidate(value);
         return;
       }
       if (TryAccept(value)) return;
@@ -272,43 +148,24 @@ class SwingStreamingCompressor : public StreamingCompressor {
   void DoClose(std::vector<StreamSegment>* closed) override {
     // End-of-stream finalization: close the buffered candidate, then re-feed
     // any verify-shrink leftovers until nothing remains — the exact order the
-    // batch while-loop visits them in.
+    // batch loop visits them in.
     while (!buffer_.empty()) {
       CloseCandidate(closed);
       Drain(closed);
     }
   }
 
-  uint8_t algorithm_id() const override {
-    return static_cast<uint8_t>(compress::AlgorithmId::kSwing);
-  }
-  const char* count_label() const override { return "Swing segment"; }
+  const compress::SegmentEncoder& encoder() const override { return swing_; }
 
  private:
-  /// Anchors a fresh segment on `value` (batch: anchor = v[start]).
-  /// Requires buffer_ empty.
-  void StartSegment(double value) {
+  /// Anchors a fresh candidate on `value`. Requires buffer_ empty.
+  void StartCandidate(double value) {
+    swing_.Start(value);
     buffer_.push_back(value);
-    intervals_.clear();
-    slope_lo_ = -std::numeric_limits<double>::infinity();
-    slope_hi_ = std::numeric_limits<double>::infinity();
   }
 
-  /// Tries to extend the open candidate with `value` under the batch
-  /// acceptance predicate; false when the point breaks the candidate.
   bool TryAccept(double value) {
-    const double anchor = buffer_[0];
-    const double step = static_cast<double>(buffer_.size());
-    const compress::Allowance a =
-        compress::RelativeAllowance(value, error_bound_);
-    const double new_lo = std::max(slope_lo_, (a.lo - anchor) / step);
-    const double new_hi = std::min(slope_hi_, (a.hi - anchor) / step);
-    if (!(new_lo <= new_hi) || buffer_.size() >= kMaxSegmentLength) {
-      return false;
-    }
-    slope_lo_ = new_lo;
-    slope_hi_ = new_hi;
-    intervals_.emplace_back(new_lo, new_hi);
+    if (swing_.Extend(&value, 1) == 0) return false;
     buffer_.push_back(value);
     return true;
   }
@@ -316,63 +173,32 @@ class SwingStreamingCompressor : public StreamingCompressor {
   void Drain(std::vector<StreamSegment>* closed) {
     while (!pending_.empty()) {
       if (buffer_.empty()) {
-        StartSegment(pending_.front());
+        StartCandidate(pending_.front());
         pending_.pop_front();
-        continue;
-      }
-      if (TryAccept(pending_.front())) {
+      } else if (TryAccept(pending_.front())) {
         pending_.pop_front();
       } else {
-        // The point breaks the candidate [start, i): close it and leave the
-        // breaking point (after any leftovers) for the next segment.
+        // The point breaks the candidate: close it and leave the breaking
+        // point (after any leftovers) for the next segment.
         CloseCandidate(closed);
       }
     }
   }
 
-  /// Emits the buffered candidate after the batch verify-shrink loop and
-  /// pushes buffer_[len..) back to the *front* of pending_, preserving the
-  /// order in which swing.cc's restarted scan would revisit them.
+  /// Closes the buffered candidate and pushes the points past the emitted
+  /// segment back to the *front* of pending_, the order in which the batch
+  /// loop's restarted scan revisits them.
   void CloseCandidate(std::vector<StreamSegment>* closed) {
-    const double anchor = buffer_[0];
-    size_t len = buffer_.size();
-    double slope = 0.0;
-    while (true) {
-      slope = len > 1 ? 0.5 * (intervals_[len - 2].first +
-                               intervals_[len - 2].second)
-                      : 0.0;
-      size_t bad = len;
-      if (len > 1 && !std::isfinite(slope)) bad = 1;
-      for (size_t k = 1; k < bad; ++k) {
-        const double rec = anchor + slope * static_cast<double>(k);
-        const compress::Allowance a =
-            compress::RelativeAllowance(buffer_[k], error_bound_);
-        if (!std::isfinite(rec) || !(rec >= a.lo && rec <= a.hi)) {
-          bad = k;
-          break;
-        }
-      }
-      if (bad == len) break;
-      len = bad;
-    }
-
-    ScratchU16(static_cast<uint16_t>(len));
-    ScratchDouble(anchor);
-    ScratchDouble(slope);
-
-    pending_.insert(pending_.begin(), buffer_.begin() + len, buffer_.end());
+    const compress::SegmentModel model = swing_.Close(buffer_.data());
+    pending_.insert(pending_.begin(), buffer_.begin() + model.length,
+                    buffer_.end());
     buffer_.clear();
-    intervals_.clear();
-    slope_lo_ = -std::numeric_limits<double>::infinity();
-    slope_hi_ = std::numeric_limits<double>::infinity();
-    EmitScratch(static_cast<uint32_t>(len), anchor, slope, closed);
+    Report(model, closed);
   }
 
+  compress::SwingEncoder swing_{0.0};
   std::vector<double> buffer_;  ///< Open-candidate values; [0] is the anchor.
-  std::vector<std::pair<double, double>> intervals_;
   std::deque<double> pending_;  ///< Points awaiting (re-)acceptance.
-  double slope_lo_ = 0.0;
-  double slope_hi_ = 0.0;
 };
 
 }  // namespace

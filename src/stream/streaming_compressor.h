@@ -7,30 +7,19 @@
 #include <string_view>
 #include <vector>
 
+#include "compress/segments.h"
 #include "core/status.h"
 
 namespace lossyts::stream {
 
-/// One closed segment emitted by a StreamingCompressor, carrying both the
-/// decoded model (so consumers can reconstruct covered points without ever
-/// touching blob bytes) and the exact wire encoding of the segment.
-///
-/// `anchor`/`slope` are the *decoder's* coefficients: for PMC the anchor is
-/// the stored mean after the optional f32 rounding, for Swing the stored
-/// anchor/slope pair. `ValueAt(k)` therefore reproduces batch Decompress
-/// bit-for-bit, which the conform stream oracle checks.
-struct StreamSegment {
-  uint64_t start_index = 0;  ///< Offset of the first covered point.
-  uint32_t length = 0;       ///< Points covered (1..65535).
-  double anchor = 0.0;       ///< Decoded level at in-segment offset 0.
-  double slope = 0.0;        ///< Decoded per-step delta (always 0 for PMC).
+/// One closed segment emitted by a StreamingCompressor: the decoded model
+/// (so consumers can reconstruct covered points without ever touching blob
+/// bytes) plus the exact wire encoding of the segment. The model is the one
+/// the shared encoder core returns (compress/segments.h), so `ValueAt(k)`
+/// reproduces batch Decompress bit for bit, which the conform stream oracle
+/// checks.
+struct StreamSegment : compress::SegmentModel {
   std::vector<uint8_t> encoded;  ///< Exact wire bytes of this segment.
-
-  /// Reconstructed value at in-segment offset `k`, using precisely the
-  /// decoder's arithmetic (swing.cc's ReconstructPoint; PMC has slope 0).
-  double ValueAt(size_t k) const {
-    return anchor + slope * static_cast<double>(k);
-  }
 };
 
 /// Incremental counterpart of compress::Compressor for the segment codecs
@@ -78,21 +67,12 @@ class StreamingCompressor {
   Result<std::vector<uint8_t>> Flush(
       std::vector<StreamSegment>* closed = nullptr);
 
-  /// Linear model of the still-open window as if it closed now: value at
-  /// in-window offset k is `anchor + slope * k`, for k in [0, length).
-  /// Provisional only — the coefficients may still change (PMC's f32
-  /// rounding happens at close; Swing's slope is the current interval
-  /// midpoint before verification) — but deterministic and causal, which is
-  /// what the prequential loop needs for model inputs. O(1).
-  struct OpenWindowModel {
-    uint64_t length = 0;
-    double anchor = 0.0;
-    double slope = 0.0;
-    double ValueAt(size_t k) const {
-      return anchor + slope * static_cast<double>(k);
-    }
-  };
-  virtual OpenWindowModel Provisional() const = 0;
+  /// Model of the still-open window as if it closed now, over in-window
+  /// offsets [0, length). Provisional only — the coefficients may still
+  /// change (PMC's f32 rounding happens at close; Swing's slope is the
+  /// current interval midpoint before verification) — but deterministic and
+  /// causal, which is what the prequential loop needs for model inputs. O(1).
+  virtual compress::SegmentModel Provisional() const = 0;
 
   /// Convenience: appends the provisional reconstruction of the open window
   /// to `*out` (O(open window)).
@@ -101,45 +81,29 @@ class StreamingCompressor {
   /// Points accepted since Open.
   uint64_t points() const { return points_; }
   /// Points covered by closed segments so far.
-  uint64_t closed_points() const { return closed_points_; }
+  uint64_t closed_points() const { return encoder().covered(); }
   /// Points still in the open window: points() - closed_points().
-  uint64_t open_length() const { return points_ - closed_points_; }
+  uint64_t open_length() const { return points_ - closed_points(); }
   /// Closed segments emitted so far.
-  uint64_t segments() const { return segments_; }
+  uint64_t segments() const { return encoder().segments(); }
   double error_bound() const { return error_bound_; }
   bool is_open() const { return open_; }
 
  protected:
-  /// Codec-specific state reset on Open.
+  /// Codec-specific state reset on Open: a fresh encoder at error_bound_.
   virtual void Reset() = 0;
   /// Codec-specific Append; the value is already known finite.
   virtual void DoAppend(double value, std::vector<StreamSegment>* closed) = 0;
   /// Codec-specific close of the remaining open window at Flush.
   virtual void DoClose(std::vector<StreamSegment>* closed) = 0;
-  /// Header algorithm byte.
-  virtual uint8_t algorithm_id() const = 0;
-  /// Wire name for the segment-count overflow message ("PMC segment", ...).
-  virtual const char* count_label() const = 0;
+  /// The codec's encoder, shared with batch Compress (compress/segments.h):
+  /// it holds the wire bytes of the closed segments and seals the blob.
+  virtual const compress::SegmentEncoder& encoder() const = 0;
 
-  /// Wire-encoding of the segment being closed goes through these little-
-  /// endian scratch appenders (bit-compatible with compress::ByteWriter) and
-  /// lands with EmitScratch. The scratch buffer is reused across closes, so
-  /// a warm stream performs no per-segment heap allocation — segment closes
-  /// are on the ingest fast path and batch Compress pays only a POD push.
-  void ScratchU8(uint8_t v) { scratch_.push_back(v); }
-  void ScratchU16(uint16_t v) {
-    for (int i = 0; i < 2; ++i) scratch_.push_back((v >> (8 * i)) & 0xFF);
-  }
-  void ScratchU32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) scratch_.push_back((v >> (8 * i)) & 0xFF);
-  }
-  void ScratchDouble(double v);
-
-  /// Closes one segment: appends the scratch bytes to the payload, stamps
-  /// and hands a StreamSegment to `closed` when non-null (the encoded copy
-  /// is made only then), advances the counters, and clears the scratch.
-  void EmitScratch(uint32_t length, double anchor, double slope,
-                   std::vector<StreamSegment>* closed);
+  /// Hands `model`, the segment the encoder just closed, to `closed` with its
+  /// wire bytes when `closed` is non-null (the bytes are copied only then).
+  void Report(const compress::SegmentModel& model,
+              std::vector<StreamSegment>* closed) const;
 
   double error_bound_ = 0.0;
 
@@ -148,10 +112,6 @@ class StreamingCompressor {
   int64_t start_timestamp_ = 0;
   int32_t interval_seconds_ = 0;
   uint64_t points_ = 0;
-  uint64_t closed_points_ = 0;
-  uint64_t segments_ = 0;
-  std::vector<uint8_t> payload_;  ///< Encoded segments closed so far.
-  std::vector<uint8_t> scratch_;  ///< Reusable wire buffer for one segment.
 };
 
 /// Codecs with a streaming implementation, a subset of

@@ -99,6 +99,33 @@ TEST(StoreTest, IngestionIsByteDeterministic) {
   EXPECT_EQ(ReadBytes(a), ReadBytes(b));
 }
 
+TEST(StoreTest, SplitAppendsWriteTheSameFile) {
+  // One Append, and Appends cut off the chunk_span boundaries (a one-point
+  // piece, pieces inside one chunk, a piece spanning several), must write
+  // the same bytes.
+  const TimeSeries series = MakeWalk(2300);
+  StoreOptions options;
+  options.chunk_span = 256;
+  const std::string whole = TempPath("split_whole.lts");
+  const std::string split = TempPath("split_pieces.lts");
+  const std::vector<size_t> cuts = {0, 1, 100, 700, 701, 1999, 2300};
+  for (const std::string& path : {whole, split}) {
+    auto writer = StoreWriter::Create(path, options);
+    ASSERT_TRUE(writer.ok());
+    if (path == whole) {
+      ASSERT_TRUE((*writer)->Append(series).ok());
+    } else {
+      for (size_t c = 0; c + 1 < cuts.size(); ++c) {
+        Result<TimeSeries> piece = series.Slice(cuts[c], cuts[c + 1]);
+        ASSERT_TRUE(piece.ok());
+        ASSERT_TRUE((*writer)->Append(*piece).ok()) << "piece " << c;
+      }
+    }
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+  EXPECT_EQ(ReadBytes(whole), ReadBytes(split));
+}
+
 TEST(StoreTest, TailChunkIsShorter) {
   StoreOptions options;
   options.chunk_span = 1000;
@@ -150,26 +177,46 @@ TEST(StoreTest, OpenMissingFileIsNotFound) {
 }
 
 TEST(StoreTest, ReadPointMatchesReadAllOnEveryCodecPath) {
-  const TimeSeries series = MakeWalk(1500);
-  for (const char* codec : {"PMC", "SWING", "SZ", "GORILLA", "CHIMP"}) {
-    StoreOptions options;
-    options.chunk_span = 400;
-    options.codecs = {codec};
-    auto reader =
-        Ingest(series, options, std::string("pt_") + codec + ".lts");
-    Result<TimeSeries> all = reader->ReadAll();
-    ASSERT_TRUE(all.ok());
-    // Probe chunk starts, chunk ends, and interior points.
-    for (size_t g : {size_t{0}, size_t{1}, size_t{399}, size_t{400},
-                     size_t{799}, size_t{800}, size_t{1234}, size_t{1499}}) {
-      const int64_t t =
-          series.start_timestamp() +
-          static_cast<int64_t>(g) * series.interval_seconds();
-      Result<double> point = reader->ReadPoint(t);
-      ASSERT_TRUE(point.ok()) << codec << " index " << g;
-      // Exactly the decoder's value: partial paths (segment walk, prefix
-      // decode) must be bit-identical to the full decode.
-      EXPECT_EQ(*point, all->values()[g]) << codec << " index " << g;
+  // The second series holds a PMC segment whose mean is -0.0, after a
+  // break: a point read must carry the sign bit the full decode carries.
+  const double z = -0.0;
+  const std::vector<TimeSeries> inputs = {
+      MakeWalk(1500), TimeSeries(1000, 60, {z, z, z, z, 1.0, 1.0, z, z})};
+  // Probe chunk starts, chunk ends, and interior points.
+  const std::vector<size_t> probes = {0, 1, 5, 7, 399, 400, 799, 800, 1234,
+                                      1499};
+  for (size_t s = 0; s < inputs.size(); ++s) {
+    const TimeSeries& series = inputs[s];
+    for (const char* codec : {"PMC", "SWING", "SZ", "GORILLA", "CHIMP"}) {
+      StoreOptions options;
+      options.chunk_span = 400;
+      options.codecs = {codec};
+      auto reader = Ingest(series, options,
+                           "pt" + std::to_string(s) + "_" + codec + ".lts");
+      // Point reads first: ReadAll fills the chunk cache, which point reads
+      // would then answer from instead of taking their partial path.
+      std::vector<double> points;
+      for (size_t g : probes) {
+        if (g >= series.size()) break;
+        const int64_t t =
+            series.start_timestamp() +
+            static_cast<int64_t>(g) * series.interval_seconds();
+        Result<double> point = reader->ReadPoint(t);
+        ASSERT_TRUE(point.ok()) << codec << " index " << g;
+        points.push_back(*point);
+      }
+      Result<TimeSeries> all = reader->ReadAll();
+      ASSERT_TRUE(all.ok());
+      // Exactly the decoder's value, bit for bit: partial paths (segment
+      // walk, prefix decode) must be identical to the full decode.
+      for (size_t p = 0; p < points.size(); ++p) {
+        const double want = all->values()[probes[p]];
+        uint64_t got_bits;
+        uint64_t want_bits;
+        std::memcpy(&got_bits, &points[p], sizeof(got_bits));
+        std::memcpy(&want_bits, &want, sizeof(want_bits));
+        EXPECT_EQ(got_bits, want_bits) << codec << " index " << probes[p];
+      }
     }
   }
 }

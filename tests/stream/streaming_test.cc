@@ -153,6 +153,38 @@ TEST(StreamingCompressorTest, SegmentsTileAndReconstruct) {
   }
 }
 
+TEST(StreamingCompressorTest, ValueAtKeepsSignedZeroMeans) {
+  // After the break at the 1.0s, PMC's last window has mean -0.0. Every
+  // closed segment's ValueAt must equal Decompress bit for bit, sign
+  // included.
+  const double z = -0.0;
+  const TimeSeries ts(0, 60, {z, z, z, z, 1.0, 1.0, z, z});
+  for (const std::string codec : {"PMC", "SWING"}) {
+    std::vector<StreamSegment> segments;
+    const std::vector<uint8_t> blob = StreamBlob(codec, ts, 0.05, &segments);
+    Result<std::unique_ptr<compress::Compressor>> batch =
+        compress::MakeCompressor(codec);
+    ASSERT_TRUE(batch.ok());
+    Result<TimeSeries> decoded = (*batch)->Decompress(blob);
+    ASSERT_TRUE(decoded.ok());
+    size_t checked = 0;
+    for (const StreamSegment& s : segments) {
+      for (size_t k = 0; k < s.length; ++k) {
+        const size_t i = static_cast<size_t>(s.start_index) + k;
+        const double rec = s.ValueAt(k);
+        const double dec = (*decoded)[i];
+        uint64_t a;
+        uint64_t b;
+        std::memcpy(&a, &rec, sizeof(a));
+        std::memcpy(&b, &dec, sizeof(b));
+        EXPECT_EQ(a, b) << codec << " index " << i;
+        ++checked;
+      }
+    }
+    EXPECT_EQ(checked, ts.size()) << codec;
+  }
+}
+
 TEST(StreamingCompressorTest, NonFinitePointRejectedWithoutCorruption) {
   TimeSeries ts = NoisySine(300, 5);
   for (const std::string codec : {"PMC", "SWING"}) {
@@ -226,7 +258,7 @@ TEST(StreamingCompressorTest, ProvisionalTracksOpenWindow) {
     ASSERT_TRUE((*sc)->Open(0, 60, 0.05).ok());
     for (int i = 0; i < 100; ++i) ASSERT_TRUE((*sc)->Append(7.0).ok());
     EXPECT_EQ((*sc)->closed_points(), 0u);
-    const StreamingCompressor::OpenWindowModel prov = (*sc)->Provisional();
+    const compress::SegmentModel prov = (*sc)->Provisional();
     ASSERT_EQ(prov.length, 100u);
     for (uint64_t k = 0; k < prov.length; ++k) {
       EXPECT_NEAR(prov.ValueAt(k), 7.0, 0.05 * 7.0) << codec << " k=" << k;

@@ -23,6 +23,18 @@ flag_guard() {
   fi
 }
 
+# Segment guard: the PMC/Swing acceptance predicates, f32 narrowing and
+# verify-shrink live once, in src/compress/segments.{h,cc}, shared by batch
+# Compress and the streaming compressors; a second copy must not come back
+# under src/stream or src/store.
+segment_guard() {
+  if grep -rnE 'RelativeAllowance[(]|static_cast<float>' \
+      "${ROOT}/src/stream" "${ROOT}/src/store"; then
+    echo "segment_guard: segment encoding belongs in src/compress/segments.h"
+    return 1
+  fi
+}
+
 # Serve-daemon crash smoke, run in every leg (so the WAL replay and socket
 # paths are also sanitizer-checked): start `lossyts serve`, drive mixed
 # traffic, SIGKILL the daemon mid-ingest, reopen the catalog and verify that
@@ -299,6 +311,7 @@ run_config() {
 }
 
 flag_guard
+segment_guard
 run_config plain ""
 # Query pushdown floor, plain leg only: micro_query checks its 3x speedup
 # over a naive decode loop against the best of interleaved fast/naive pairs,
