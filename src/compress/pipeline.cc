@@ -135,17 +135,23 @@ Result<PipelineResult> RunPipeline(const Compressor& compressor,
 
   // Segment count: the segment codecs encode an explicit u32 segment count
   // right after the shared header; for other codecs fall back to constant
-  // runs.
-  if (compressor.name() == "PMC" || compressor.name() == "SWING" ||
-      compressor.name() == "PPA" || compressor.name() == "CAMEO") {
-    ByteReader reader(*blob);
-    // Header: id, timestamp, interval, count.
-    if (Status s = reader.Skip(1 + 4 + 2 + 4); !s.ok()) return s;
-    Result<uint32_t> segments = reader.GetU32();
-    if (!segments.ok()) return segments.status();
-    result.segment_count = *segments;
-  } else {
-    result.segment_count = CountConstantRuns(*decompressed);
+  // runs. The blob decoded above, so it is not empty.
+  const AlgorithmId algorithm = static_cast<AlgorithmId>((*blob)[0]);
+  switch (algorithm) {
+    case AlgorithmId::kPmc:
+    case AlgorithmId::kSwing:
+    case AlgorithmId::kPpa:
+    case AlgorithmId::kCameo: {
+      ByteReader reader(*blob);
+      Result<BlobHeader> header = ReadHeader(reader, algorithm);
+      if (!header.ok()) return header.status();
+      Result<uint32_t> segments = reader.GetU32();
+      if (!segments.ok()) return segments.status();
+      result.segment_count = *segments;
+      break;
+    }
+    default:
+      result.segment_count = CountConstantRuns(*decompressed);
   }
 
   Result<double> rmse = Rmse(series.values(), decompressed->values());

@@ -24,9 +24,10 @@ Client::~Client() {
 }
 
 Result<Reply> Client::RoundTrip(const Request& request) {
-  const std::vector<uint8_t> payload = EncodeRequest(request);
+  const Result<std::vector<uint8_t>> payload = EncodeRequest(request);
+  if (!payload.ok()) return payload.status();
   for (int attempt = 0;; ++attempt) {
-    if (Status s = WriteFrame(fd_, payload, options_.timeout_ms); !s.ok()) {
+    if (Status s = WriteFrame(fd_, *payload, options_.timeout_ms); !s.ok()) {
       return s;
     }
     Result<std::vector<uint8_t>> frame = ReadFrame(fd_, options_.timeout_ms);
@@ -34,6 +35,7 @@ Result<Reply> Client::RoundTrip(const Request& request) {
     Result<Reply> reply = DecodeReply(request.type, *frame);
     if (!reply.ok()) return reply.status();
     if (reply->kind != ReplyKind::kRetry || attempt >= options_.max_retries) {
+      if (Status s = StatusFromReply(*reply); !s.ok()) return s;
       return reply;
     }
     // Honour the server's backoff hint, with a floor so a zero hint cannot
@@ -47,9 +49,7 @@ Result<Reply> Client::RoundTrip(const Request& request) {
 Status Client::Ping() {
   Request request;
   request.type = RequestType::kPing;
-  Result<Reply> reply = RoundTrip(request);
-  if (!reply.ok()) return reply.status();
-  return StatusFromReply(*reply);
+  return RoundTrip(request).status();
 }
 
 Status Client::Append(const std::string& series, int64_t first_timestamp,
@@ -61,9 +61,7 @@ Status Client::Append(const std::string& series, int64_t first_timestamp,
   request.first_timestamp = first_timestamp;
   request.interval_seconds = interval_seconds;
   request.values = values;
-  Result<Reply> reply = RoundTrip(request);
-  if (!reply.ok()) return reply.status();
-  return StatusFromReply(*reply);
+  return RoundTrip(request).status();
 }
 
 Result<TimeSeries> Client::ReadRange(const std::string& series, int64_t t0,
@@ -75,7 +73,6 @@ Result<TimeSeries> Client::ReadRange(const std::string& series, int64_t t0,
   request.t1 = t1;
   Result<Reply> reply = RoundTrip(request);
   if (!reply.ok()) return reply.status();
-  if (Status s = StatusFromReply(*reply); !s.ok()) return s;
   return TimeSeries(reply->start_timestamp, reply->interval_seconds,
                     std::move(reply->values));
 }
@@ -85,7 +82,6 @@ Result<ServeStats> Client::Stats() {
   request.type = RequestType::kStats;
   Result<Reply> reply = RoundTrip(request);
   if (!reply.ok()) return reply.status();
-  if (Status s = StatusFromReply(*reply); !s.ok()) return s;
   return reply->stats;
 }
 
@@ -94,7 +90,6 @@ Result<std::vector<std::string>> Client::ListSeries() {
   request.type = RequestType::kListSeries;
   Result<Reply> reply = RoundTrip(request);
   if (!reply.ok()) return reply.status();
-  if (Status s = StatusFromReply(*reply); !s.ok()) return s;
   return std::move(reply->names);
 }
 
@@ -104,7 +99,6 @@ Result<query::QueryResult> Client::Query(const QuerySpec& spec) {
   request.query = spec;
   Result<Reply> reply = RoundTrip(request);
   if (!reply.ok()) return reply.status();
-  if (Status s = StatusFromReply(*reply); !s.ok()) return s;
   return std::move(reply->query);
 }
 
@@ -114,16 +108,13 @@ Result<SeriesStreamInfo> Client::StreamInfo(const std::string& series) {
   request.series = series;
   Result<Reply> reply = RoundTrip(request);
   if (!reply.ok()) return reply.status();
-  if (Status s = StatusFromReply(*reply); !s.ok()) return s;
   return std::move(reply->stream);
 }
 
 Status Client::Shutdown() {
   Request request;
   request.type = RequestType::kShutdown;
-  Result<Reply> reply = RoundTrip(request);
-  if (!reply.ok()) return reply.status();
-  return StatusFromReply(*reply);
+  return RoundTrip(request).status();
 }
 
 }  // namespace lossyts::serve

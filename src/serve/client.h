@@ -60,6 +60,10 @@ class Client {
  private:
   Client() = default;
 
+  /// Sends `request` and reads its reply, absorbing kRetry replies. OK only
+  /// for a kOk reply; otherwise the Status the reply carries, or
+  /// InvalidArgument, with nothing sent, for a request that cannot be
+  /// encoded.
   Result<Reply> RoundTrip(const Request& request);
 
   std::string path_;

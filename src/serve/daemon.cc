@@ -185,14 +185,18 @@ void Daemon::ServeConnection(int fd) {
       type = request->type;
       reply = Handle(std::move(*request));
     }
-    std::vector<uint8_t> encoded = EncodeReply(type, reply);
-    if (encoded.size() > kMaxFramePayload) {  // The client would reject it.
-      const Status too_big = Status::OutOfRange(
-          "reply of " + std::to_string(encoded.size()) +
+    Result<std::vector<uint8_t>> encoded = EncodeReply(type, reply);
+    if (encoded.ok() && encoded->size() > kMaxFramePayload) {
+      // The client would reject it.
+      encoded = Status::OutOfRange(
+          "reply of " + std::to_string(encoded->size()) +
           " bytes exceeds the frame cap; request a narrower range");
-      encoded = EncodeReply(type, ReplyFromStatus(too_big, 0));
     }
-    Status written = WriteFrame(fd, encoded, options_.client_timeout_ms);
+    if (!encoded.ok()) {
+      // An error reply always encodes: its message is truncated to fit.
+      encoded = EncodeReply(type, ReplyFromStatus(encoded.status(), 0));
+    }
+    Status written = WriteFrame(fd, *encoded, options_.client_timeout_ms);
     if (!written.ok()) {
       if (written.code() == StatusCode::kUnavailable) {
         evicted_clients_.fetch_add(1, std::memory_order_relaxed);

@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 
 #include "compress/serde.h"
 #include "core/failpoint.h"
@@ -16,530 +17,190 @@ namespace lossyts::serve {
 
 namespace {
 
-/// Error messages longer than this are truncated on the wire; the cap keeps
-/// a reply frame small no matter what a Status carries.
-constexpr size_t kMaxMessageBytes = 4096;
+// Each message layout below is written once and runs in both directions:
+// with a compress::WireWriter it encodes, with a compress::WireReader it
+// decodes (see compress/serde.h for the wire types).
+using compress::MaybeConst;
 
-void PutShortString(compress::ByteWriter& writer, const std::string& s) {
-  writer.PutU8(static_cast<uint8_t>(s.size()));
-  for (const char c : s) writer.PutU8(static_cast<uint8_t>(c));
+template <typename W, MaybeConst<QuerySpec> Q>
+void Walk(W& w, Q& spec) {
+  w.Field(spec.metrics);
+  w.Field(spec.group_by);
+  w.Field(spec.delimiter);
+  w.Field(spec.t0);
+  w.Field(spec.t1);
+  w.Field(spec.match);
+  w.Field(spec.pred_suffix);
+  w.Field(spec.season_length);
 }
 
-Result<std::string> GetShortString(compress::ByteReader& reader) {
-  Result<uint8_t> len = reader.GetU8();
-  if (!len.ok()) return len.status();
-  std::string s;
-  s.reserve(*len);
-  for (uint8_t i = 0; i < *len; ++i) {
-    Result<uint8_t> c = reader.GetU8();
-    if (!c.ok()) return c.status();
-    s.push_back(static_cast<char>(*c));
-  }
-  return s;
+template <typename W, MaybeConst<query::QueryResult> Q>
+void Walk(W& w, Q& result) {
+  w.Field(result.metric_names);
+  w.Field(result.aggregate_names);
+  w.List(result.rows, [](W& rows, auto& row) {
+    rows.Field(row.group);
+    rows.Field(row.series_count);
+    rows.Field(row.points);
+    rows.Field(row.aggregates);
+    rows.Field(row.metrics);
+  });
 }
 
-void PutLongString(compress::ByteWriter& writer, const std::string& s) {
-  const size_t n = std::min(s.size(), kMaxMessageBytes);
-  writer.PutU32(static_cast<uint32_t>(n));
-  for (size_t i = 0; i < n; ++i) writer.PutU8(static_cast<uint8_t>(s[i]));
+template <typename W, MaybeConst<SeriesStreamInfo> S>
+void Walk(W& w, S& info) {
+  w.Field(info.codec);
+  w.Field(info.error_bound);
+  w.Field(info.points);
+  w.Field(info.rejected);
+  w.Field(info.segments);
+  w.Field(info.open_length);
+  w.Field(info.open_anchor);
+  w.Field(info.open_slope);
 }
 
-Result<std::string> GetLongString(compress::ByteReader& reader) {
-  Result<uint32_t> len = reader.GetU32();
-  if (!len.ok()) return len.status();
-  if (*len > kMaxMessageBytes) {
-    return Status::Corruption("message length field is implausible");
-  }
-  if (reader.remaining() < *len) {
-    return Status::Corruption("message truncated");
-  }
-  std::string s(reinterpret_cast<const char*>(reader.current()), *len);
-  if (Status st = reader.Skip(*len); !st.ok()) return st;
-  return s;
+/// ServeStats' wire order: every field, as u64.
+constexpr uint64_t ServeStats::*kStatsFields[] = {
+    &ServeStats::shards,          &ServeStats::series,
+    &ServeStats::points,          &ServeStats::wal_bytes,
+    &ServeStats::appended_ops,    &ServeStats::flushes,
+    &ServeStats::flush_failures,  &ServeStats::salvaged_stores,
+    &ServeStats::replayed_records, &ServeStats::streamed_points,
+    &ServeStats::stream_segments, &ServeStats::stream_rejected,
+    &ServeStats::failed_shards,   &ServeStats::accepted,
+    &ServeStats::rejected,        &ServeStats::deadline_misses,
+    &ServeStats::evicted_clients,
+};
+
+template <typename W, MaybeConst<ServeStats> S>
+void Walk(W& w, S& stats) {
+  for (const auto field : kStatsFields) w.Field(stats.*field);
 }
 
-void PutValues(compress::ByteWriter& writer,
-               const std::vector<double>& values) {
-  writer.PutU32(static_cast<uint32_t>(values.size()));
-  for (const double v : values) writer.PutDouble(v);
-}
-
-/// Count-prefixed doubles; the list may sit inside a larger payload.
-Result<std::vector<double>> GetDoubleList(compress::ByteReader& reader) {
-  Result<uint32_t> count = reader.GetU32();
-  if (!count.ok()) return count.status();
-  if (reader.remaining() < static_cast<uint64_t>(*count) * sizeof(double)) {
-    return Status::Corruption("double list count is implausible");
-  }
-  std::vector<double> values(*count);
-  for (double& v : values) v = *reader.GetDouble();
-  return values;
-}
-
-/// A PutValues list that must also end the payload.
-Result<std::vector<double>> GetValues(compress::ByteReader& reader) {
-  Result<std::vector<double>> values = GetDoubleList(reader);
-  if (values.ok() && reader.remaining() != 0) {
-    return Status::Corruption("value count disagrees with the payload");
-  }
-  return values;
-}
-
-void PutStringList(compress::ByteWriter& writer,
-                   const std::vector<std::string>& names) {
-  writer.PutU32(static_cast<uint32_t>(names.size()));
-  for (const std::string& name : names) PutShortString(writer, name);
-}
-
-Result<std::vector<std::string>> GetStringList(compress::ByteReader& reader) {
-  Result<uint32_t> count = reader.GetU32();
-  if (!count.ok()) return count.status();
-  // Each entry costs at least its length byte; a count past the payload is
-  // corrupt, not a huge allocation.
-  if (*count > reader.remaining()) {
-    return Status::Corruption("string list count is implausible");
-  }
-  std::vector<std::string> names;
-  names.reserve(*count);
-  for (uint32_t i = 0; i < *count; ++i) {
-    Result<std::string> name = GetShortString(reader);
-    if (!name.ok()) return name.status();
-    names.push_back(std::move(*name));
-  }
-  return names;
-}
-
-void PutQueryResult(compress::ByteWriter& writer,
-                    const query::QueryResult& result) {
-  PutStringList(writer, result.metric_names);
-  PutStringList(writer, result.aggregate_names);
-  writer.PutU32(static_cast<uint32_t>(result.rows.size()));
-  for (const query::GroupRow& row : result.rows) {
-    PutShortString(writer, row.group);
-    writer.PutU64(row.series_count);
-    writer.PutU64(row.points);
-    PutValues(writer, row.aggregates);
-    PutValues(writer, row.metrics);
-  }
-}
-
-Result<query::QueryResult> GetQueryResult(compress::ByteReader& reader) {
-  query::QueryResult result;
-  Result<std::vector<std::string>> metric_names = GetStringList(reader);
-  if (!metric_names.ok()) return metric_names.status();
-  result.metric_names = std::move(*metric_names);
-  Result<std::vector<std::string>> aggregate_names = GetStringList(reader);
-  if (!aggregate_names.ok()) return aggregate_names.status();
-  result.aggregate_names = std::move(*aggregate_names);
-  Result<uint32_t> count = reader.GetU32();
-  if (!count.ok()) return count.status();
-  if (*count > reader.remaining()) {
-    return Status::Corruption("group row count is implausible");
-  }
-  result.rows.reserve(*count);
-  for (uint32_t i = 0; i < *count; ++i) {
-    query::GroupRow row;
-    Result<std::string> group = GetShortString(reader);
-    if (!group.ok()) return group.status();
-    row.group = std::move(*group);
-    Result<uint64_t> series_count = reader.GetU64();
-    if (!series_count.ok()) return series_count.status();
-    row.series_count = *series_count;
-    Result<uint64_t> points = reader.GetU64();
-    if (!points.ok()) return points.status();
-    row.points = *points;
-    Result<std::vector<double>> aggregates = GetDoubleList(reader);
-    if (!aggregates.ok()) return aggregates.status();
-    row.aggregates = std::move(*aggregates);
-    Result<std::vector<double>> metrics = GetDoubleList(reader);
-    if (!metrics.ok()) return metrics.status();
-    row.metrics = std::move(*metrics);
-    result.rows.push_back(std::move(row));
-  }
-  return result;
-}
-
-StatusCode CodeFromWire(uint8_t code) {
-  switch (code) {
-    case static_cast<uint8_t>(StatusCode::kInvalidArgument):
-      return StatusCode::kInvalidArgument;
-    case static_cast<uint8_t>(StatusCode::kOutOfRange):
-      return StatusCode::kOutOfRange;
-    case static_cast<uint8_t>(StatusCode::kCorruption):
-      return StatusCode::kCorruption;
-    case static_cast<uint8_t>(StatusCode::kNotFound):
-      return StatusCode::kNotFound;
-    case static_cast<uint8_t>(StatusCode::kFailedPrecondition):
-      return StatusCode::kFailedPrecondition;
-    case static_cast<uint8_t>(StatusCode::kIoError):
-      return StatusCode::kIoError;
-    case static_cast<uint8_t>(StatusCode::kUnavailable):
-      return StatusCode::kUnavailable;
-    default:
-      return StatusCode::kInternal;
-  }
-}
-
-Status MakeStatus(StatusCode code, std::string msg) {
-  switch (code) {
-    case StatusCode::kOk:
-      return Status::OK();
-    case StatusCode::kInvalidArgument:
-      return Status::InvalidArgument(std::move(msg));
-    case StatusCode::kOutOfRange:
-      return Status::OutOfRange(std::move(msg));
-    case StatusCode::kCorruption:
-      return Status::Corruption(std::move(msg));
-    case StatusCode::kNotFound:
-      return Status::NotFound(std::move(msg));
-    case StatusCode::kFailedPrecondition:
-      return Status::FailedPrecondition(std::move(msg));
-    case StatusCode::kIoError:
-      return Status::IoError(std::move(msg));
-    case StatusCode::kUnavailable:
-      return Status::Unavailable(std::move(msg));
-    case StatusCode::kInternal:
-      break;
-  }
-  return Status::Internal(std::move(msg));
-}
-
-void PutStats(compress::ByteWriter& writer, const ServeStats& stats) {
-  writer.PutU64(stats.shards);
-  writer.PutU64(stats.series);
-  writer.PutU64(stats.points);
-  writer.PutU64(stats.wal_bytes);
-  writer.PutU64(stats.appended_ops);
-  writer.PutU64(stats.flushes);
-  writer.PutU64(stats.flush_failures);
-  writer.PutU64(stats.salvaged_stores);
-  writer.PutU64(stats.replayed_records);
-  writer.PutU64(stats.streamed_points);
-  writer.PutU64(stats.stream_segments);
-  writer.PutU64(stats.stream_rejected);
-  writer.PutU64(stats.failed_shards);
-  writer.PutU64(stats.accepted);
-  writer.PutU64(stats.rejected);
-  writer.PutU64(stats.deadline_misses);
-  writer.PutU64(stats.evicted_clients);
-}
-
-Result<ServeStats> GetStats(compress::ByteReader& reader) {
-  ServeStats stats;
-  uint64_t* fields[] = {
-      &stats.shards,          &stats.series,
-      &stats.points,          &stats.wal_bytes,
-      &stats.appended_ops,    &stats.flushes,
-      &stats.flush_failures,  &stats.salvaged_stores,
-      &stats.replayed_records, &stats.streamed_points,
-      &stats.stream_segments, &stats.stream_rejected,
-      &stats.failed_shards,   &stats.accepted,
-      &stats.rejected,        &stats.deadline_misses,
-      &stats.evicted_clients,
-  };
-  for (uint64_t* field : fields) {
-    Result<uint64_t> v = reader.GetU64();
-    if (!v.ok()) return v.status();
-    *field = *v;
-  }
-  return stats;
-}
-
-void PutStreamInfo(compress::ByteWriter& writer,
-                   const SeriesStreamInfo& info) {
-  PutShortString(writer, info.codec);
-  writer.PutDouble(info.error_bound);
-  writer.PutU64(info.points);
-  writer.PutU64(info.rejected);
-  writer.PutU64(info.segments);
-  writer.PutU64(info.open_length);
-  writer.PutDouble(info.open_anchor);
-  writer.PutDouble(info.open_slope);
-}
-
-Result<SeriesStreamInfo> GetStreamInfo(compress::ByteReader& reader) {
-  SeriesStreamInfo info;
-  Result<std::string> codec = GetShortString(reader);
-  if (!codec.ok()) return codec.status();
-  info.codec = std::move(*codec);
-  Result<double> eb = reader.GetDouble();
-  if (!eb.ok()) return eb.status();
-  info.error_bound = *eb;
-  uint64_t* fields[] = {&info.points, &info.rejected, &info.segments,
-                        &info.open_length};
-  for (uint64_t* field : fields) {
-    Result<uint64_t> v = reader.GetU64();
-    if (!v.ok()) return v.status();
-    *field = *v;
-  }
-  Result<double> anchor = reader.GetDouble();
-  if (!anchor.ok()) return anchor.status();
-  info.open_anchor = *anchor;
-  Result<double> slope = reader.GetDouble();
-  if (!slope.ok()) return slope.status();
-  info.open_slope = *slope;
-  return info;
-}
-
-}  // namespace
-
-std::vector<uint8_t> EncodeRequest(const Request& request) {
-  compress::ByteWriter writer;
-  writer.PutU8(static_cast<uint8_t>(request.type));
+/// A request: its type byte, then the type's fields.
+template <typename W, MaybeConst<Request> R>
+void Walk(W& w, R& request) {
+  w.Field(request.type);
   switch (request.type) {
     case RequestType::kAppend:
-      PutShortString(writer, request.series);
-      writer.PutI64(request.first_timestamp);
-      writer.PutI32(request.interval_seconds);
-      PutValues(writer, request.values);
-      break;
+      w.Field(request.series);
+      w.Field(request.first_timestamp);
+      w.Field(request.interval_seconds);
+      w.Field(request.values);
+      return;
     case RequestType::kReadRange:
-      PutShortString(writer, request.series);
-      writer.PutI64(request.t0);
-      writer.PutI64(request.t1);
-      break;
+      w.Field(request.series);
+      w.Field(request.t0);
+      w.Field(request.t1);
+      return;
     case RequestType::kStreamInfo:
-      PutShortString(writer, request.series);
-      break;
+      w.Field(request.series);
+      return;
     case RequestType::kQuery:
-      PutStringList(writer, request.query.metrics);
-      PutShortString(writer, request.query.group_by);
-      PutShortString(writer, request.query.delimiter);
-      writer.PutI64(request.query.t0);
-      writer.PutI64(request.query.t1);
-      PutShortString(writer, request.query.match);
-      PutShortString(writer, request.query.pred_suffix);
-      writer.PutI32(request.query.season_length);
-      break;
+      Walk(w, request.query);
+      return;
     case RequestType::kPing:
     case RequestType::kStats:
     case RequestType::kShutdown:
     case RequestType::kListSeries:
-      break;
+      return;
   }
+  w.Fail(Status::Corruption(
+      "unknown request type " +
+      std::to_string(static_cast<unsigned>(request.type))));
+}
+
+/// A reply: its kind byte, then kError's code and message, kRetry's backoff
+/// and message, or kOk's body, whose layout depends on the request `type`.
+template <typename W, MaybeConst<Reply> R>
+void Walk(W& w, RequestType type, R& reply) {
+  w.Field(reply.kind);
+  switch (reply.kind) {
+    case ReplyKind::kError:
+      w.Field(reply.code);
+      w.Message(reply.message);
+      return;
+    case ReplyKind::kRetry:
+      w.Field(reply.retry_after_ms);
+      w.Message(reply.message);
+      return;
+    case ReplyKind::kOk:
+      break;
+    default:
+      w.Fail(Status::Corruption(
+          "unknown reply kind " +
+          std::to_string(static_cast<unsigned>(reply.kind))));
+      return;
+  }
+  switch (type) {
+    case RequestType::kReadRange:
+      w.Field(reply.start_timestamp);
+      w.Field(reply.interval_seconds);
+      w.Field(reply.values);
+      return;
+    case RequestType::kStats:
+      Walk(w, reply.stats);
+      return;
+    case RequestType::kListSeries:
+      w.Field(reply.names);
+      return;
+    case RequestType::kQuery:
+      Walk(w, reply.query);
+      return;
+    case RequestType::kStreamInfo:
+      Walk(w, reply.stream);
+      return;
+    case RequestType::kPing:
+    case RequestType::kAppend:
+    case RequestType::kShutdown:
+      return;
+  }
+  w.Fail(Status::Corruption("reply for an unknown request type"));
+}
+
+/// The Status a kError reply carries, indexed by its wire code (the
+/// StatusCode value). kOk and codes past the table map to Internal.
+using StatusFactory = Status (*)(std::string);
+constexpr StatusFactory kStatusFromWire[] = {
+    &Status::Internal,        &Status::InvalidArgument,
+    &Status::OutOfRange,      &Status::Corruption,
+    &Status::NotFound,        &Status::FailedPrecondition,
+    &Status::Internal,        &Status::IoError,
+    &Status::Unavailable,
+};
+static_assert(std::size(kStatusFromWire) ==
+              static_cast<size_t>(StatusCode::kUnavailable) + 1);
+
+}  // namespace
+
+Result<std::vector<uint8_t>> EncodeRequest(const Request& request) {
+  compress::WireWriter writer;
+  Walk(writer, request);
   return writer.Finish();
 }
 
 Result<Request> DecodeRequest(const std::vector<uint8_t>& payload) {
-  compress::ByteReader reader(payload);
-  Result<uint8_t> type = reader.GetU8();
-  if (!type.ok()) return type.status();
+  compress::WireReader reader(payload);
   Request request;
-  switch (*type) {
-    case static_cast<uint8_t>(RequestType::kAppend): {
-      request.type = RequestType::kAppend;
-      Result<std::string> series = GetShortString(reader);
-      if (!series.ok()) return series.status();
-      request.series = std::move(*series);
-      Result<int64_t> ts = reader.GetI64();
-      if (!ts.ok()) return ts.status();
-      request.first_timestamp = *ts;
-      Result<int32_t> interval = reader.GetI32();
-      if (!interval.ok()) return interval.status();
-      request.interval_seconds = *interval;
-      Result<std::vector<double>> values = GetValues(reader);
-      if (!values.ok()) return values.status();
-      request.values = std::move(*values);
-      return request;
-    }
-    case static_cast<uint8_t>(RequestType::kReadRange): {
-      request.type = RequestType::kReadRange;
-      Result<std::string> series = GetShortString(reader);
-      if (!series.ok()) return series.status();
-      request.series = std::move(*series);
-      Result<int64_t> t0 = reader.GetI64();
-      if (!t0.ok()) return t0.status();
-      request.t0 = *t0;
-      Result<int64_t> t1 = reader.GetI64();
-      if (!t1.ok()) return t1.status();
-      request.t1 = *t1;
-      return request;
-    }
-    case static_cast<uint8_t>(RequestType::kStreamInfo): {
-      request.type = RequestType::kStreamInfo;
-      Result<std::string> series = GetShortString(reader);
-      if (!series.ok()) return series.status();
-      request.series = std::move(*series);
-      if (reader.remaining() != 0) {
-        return Status::Corruption("request carries unexpected trailing bytes");
-      }
-      return request;
-    }
-    case static_cast<uint8_t>(RequestType::kQuery): {
-      request.type = RequestType::kQuery;
-      Result<std::vector<std::string>> metrics = GetStringList(reader);
-      if (!metrics.ok()) return metrics.status();
-      request.query.metrics = std::move(*metrics);
-      Result<std::string> group_by = GetShortString(reader);
-      if (!group_by.ok()) return group_by.status();
-      request.query.group_by = std::move(*group_by);
-      Result<std::string> delimiter = GetShortString(reader);
-      if (!delimiter.ok()) return delimiter.status();
-      request.query.delimiter = std::move(*delimiter);
-      Result<int64_t> t0 = reader.GetI64();
-      if (!t0.ok()) return t0.status();
-      request.query.t0 = *t0;
-      Result<int64_t> t1 = reader.GetI64();
-      if (!t1.ok()) return t1.status();
-      request.query.t1 = *t1;
-      Result<std::string> match = GetShortString(reader);
-      if (!match.ok()) return match.status();
-      request.query.match = std::move(*match);
-      Result<std::string> pred_suffix = GetShortString(reader);
-      if (!pred_suffix.ok()) return pred_suffix.status();
-      request.query.pred_suffix = std::move(*pred_suffix);
-      Result<int32_t> season_length = reader.GetI32();
-      if (!season_length.ok()) return season_length.status();
-      request.query.season_length = *season_length;
-      if (reader.remaining() != 0) {
-        return Status::Corruption("request carries unexpected trailing bytes");
-      }
-      return request;
-    }
-    case static_cast<uint8_t>(RequestType::kPing):
-    case static_cast<uint8_t>(RequestType::kStats):
-    case static_cast<uint8_t>(RequestType::kShutdown):
-    case static_cast<uint8_t>(RequestType::kListSeries):
-      request.type = static_cast<RequestType>(*type);
-      if (reader.remaining() != 0) {
-        return Status::Corruption("request carries unexpected trailing bytes");
-      }
-      return request;
-    default:
-      return Status::Corruption("unknown request type " +
-                                std::to_string(*type));
-  }
+  Walk(reader, request);
+  if (Status s = reader.Finish(); !s.ok()) return s;
+  return request;
 }
 
-std::vector<uint8_t> EncodeReply(RequestType type, const Reply& reply) {
-  compress::ByteWriter writer;
-  writer.PutU8(static_cast<uint8_t>(reply.kind));
-  if (reply.kind == ReplyKind::kError) {
-    writer.PutU8(reply.code);
-    PutLongString(writer, reply.message);
-    return writer.Finish();
-  }
-  if (reply.kind == ReplyKind::kRetry) {
-    writer.PutU32(reply.retry_after_ms);
-    PutLongString(writer, reply.message);
-    return writer.Finish();
-  }
-  switch (type) {
-    case RequestType::kReadRange:
-      writer.PutI64(reply.start_timestamp);
-      writer.PutI32(reply.interval_seconds);
-      PutValues(writer, reply.values);
-      break;
-    case RequestType::kStats:
-      PutStats(writer, reply.stats);
-      break;
-    case RequestType::kListSeries:
-      writer.PutU32(static_cast<uint32_t>(reply.names.size()));
-      for (const std::string& name : reply.names) {
-        PutShortString(writer, name);
-      }
-      break;
-    case RequestType::kQuery:
-      PutQueryResult(writer, reply.query);
-      break;
-    case RequestType::kStreamInfo:
-      PutStreamInfo(writer, reply.stream);
-      break;
-    case RequestType::kPing:
-    case RequestType::kAppend:
-    case RequestType::kShutdown:
-      break;
-  }
+Result<std::vector<uint8_t>> EncodeReply(RequestType type,
+                                         const Reply& reply) {
+  compress::WireWriter writer;
+  Walk(writer, type, reply);
   return writer.Finish();
 }
 
 Result<Reply> DecodeReply(RequestType type,
                           const std::vector<uint8_t>& payload) {
-  compress::ByteReader reader(payload);
-  Result<uint8_t> kind = reader.GetU8();
-  if (!kind.ok()) return kind.status();
+  compress::WireReader reader(payload);
   Reply reply;
-  if (*kind == static_cast<uint8_t>(ReplyKind::kError)) {
-    reply.kind = ReplyKind::kError;
-    Result<uint8_t> code = reader.GetU8();
-    if (!code.ok()) return code.status();
-    reply.code = *code;
-    Result<std::string> message = GetLongString(reader);
-    if (!message.ok()) return message.status();
-    reply.message = std::move(*message);
-    return reply;
-  }
-  if (*kind == static_cast<uint8_t>(ReplyKind::kRetry)) {
-    reply.kind = ReplyKind::kRetry;
-    Result<uint32_t> after = reader.GetU32();
-    if (!after.ok()) return after.status();
-    reply.retry_after_ms = *after;
-    Result<std::string> message = GetLongString(reader);
-    if (!message.ok()) return message.status();
-    reply.message = std::move(*message);
-    return reply;
-  }
-  if (*kind != static_cast<uint8_t>(ReplyKind::kOk)) {
-    return Status::Corruption("unknown reply kind " + std::to_string(*kind));
-  }
-  reply.kind = ReplyKind::kOk;
-  switch (type) {
-    case RequestType::kReadRange: {
-      Result<int64_t> start = reader.GetI64();
-      if (!start.ok()) return start.status();
-      reply.start_timestamp = *start;
-      Result<int32_t> interval = reader.GetI32();
-      if (!interval.ok()) return interval.status();
-      reply.interval_seconds = *interval;
-      Result<std::vector<double>> values = GetValues(reader);
-      if (!values.ok()) return values.status();
-      reply.values = std::move(*values);
-      return reply;
-    }
-    case RequestType::kStats: {
-      Result<ServeStats> stats = GetStats(reader);
-      if (!stats.ok()) return stats.status();
-      reply.stats = *stats;
-      return reply;
-    }
-    case RequestType::kQuery: {
-      Result<query::QueryResult> result = GetQueryResult(reader);
-      if (!result.ok()) return result.status();
-      reply.query = std::move(*result);
-      if (reader.remaining() != 0) {
-        return Status::Corruption("reply carries unexpected trailing bytes");
-      }
-      return reply;
-    }
-    case RequestType::kStreamInfo: {
-      Result<SeriesStreamInfo> info = GetStreamInfo(reader);
-      if (!info.ok()) return info.status();
-      reply.stream = std::move(*info);
-      if (reader.remaining() != 0) {
-        return Status::Corruption("reply carries unexpected trailing bytes");
-      }
-      return reply;
-    }
-    case RequestType::kListSeries: {
-      Result<uint32_t> count = reader.GetU32();
-      if (!count.ok()) return count.status();
-      reply.names.reserve(*count);
-      for (uint32_t i = 0; i < *count; ++i) {
-        Result<std::string> name = GetShortString(reader);
-        if (!name.ok()) return name.status();
-        reply.names.push_back(std::move(*name));
-      }
-      return reply;
-    }
-    case RequestType::kPing:
-    case RequestType::kAppend:
-    case RequestType::kShutdown:
-      if (reader.remaining() != 0) {
-        return Status::Corruption("reply carries unexpected trailing bytes");
-      }
-      return reply;
-  }
-  return Status::Corruption("reply for an unknown request type");
+  Walk(reader, type, reply);
+  if (Status s = reader.Finish(); !s.ok()) return s;
+  return reply;
 }
 
 Reply ReplyFromStatus(const Status& status, uint32_t retry_after_ms) {
@@ -565,7 +226,9 @@ Status StatusFromReply(const Reply& reply) {
       return Status::Unavailable(reply.message.empty() ? "server overloaded"
                                                        : reply.message);
     case ReplyKind::kError:
-      return MakeStatus(CodeFromWire(reply.code), reply.message);
+      return reply.code < std::size(kStatusFromWire)
+                 ? kStatusFromWire[reply.code](reply.message)
+                 : Status::Internal(reply.message);
   }
   return Status::Internal("malformed reply");
 }

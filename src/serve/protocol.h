@@ -15,7 +15,7 @@ namespace lossyts::serve {
 // Wire protocol of the serve daemon, over a Unix-domain stream socket.
 //
 // Every message is one zip/frame.h frame (kFrameMagic, kMaxFramePayload)
-// whose payload is little-endian via compress::ByteWriter and never empty:
+// whose payload is little-endian via compress::WireWriter and never empty:
 // every request and reply starts with its type or kind byte.
 //
 // A client sends one request frame and reads exactly one reply frame; the
@@ -115,19 +115,25 @@ struct Reply {
   SeriesStreamInfo stream;         ///< kOk + kStreamInfo.
 };
 
-std::vector<uint8_t> EncodeRequest(const Request& request);
+/// Each layout is written once in protocol.cc and runs in both directions
+/// (compress::WireWriter / WireReader). Encoding fails with InvalidArgument,
+/// before anything is sent, when a string is longer than 255 bytes. Decoding
+/// fails with Corruption on a truncated field, a count past the bytes left,
+/// an unknown type or kind byte, or bytes left after the message.
+Result<std::vector<uint8_t>> EncodeRequest(const Request& request);
 Result<Request> DecodeRequest(const std::vector<uint8_t>& payload);
 
 /// Reply encoding is positional on the request type (the payload layout of
 /// kOk differs per request), so both sides pass the type they exchanged.
-std::vector<uint8_t> EncodeReply(RequestType type, const Reply& reply);
+Result<std::vector<uint8_t>> EncodeReply(RequestType type,
+                                         const Reply& reply);
 Result<Reply> DecodeReply(RequestType type,
                           const std::vector<uint8_t>& payload);
 
 /// Builds a kError (or kRetry for kUnavailable) reply from a Status.
 Reply ReplyFromStatus(const Status& status, uint32_t retry_after_ms);
 /// Inverse of ReplyFromStatus: OK for kOk, the carried Status otherwise
-/// (kRetry maps back to Unavailable).
+/// (kRetry maps back to Unavailable, an unknown error code to Internal).
 Status StatusFromReply(const Reply& reply);
 
 /// Writes one frame, honouring `timeout_ms` per poll (the slow-client

@@ -43,51 +43,46 @@ std::vector<uint8_t> EncodeWalHeader() {
   return writer.Finish();
 }
 
+/// The record payload layout, for compress::WireWriter and WireReader.
+template <typename W, compress::MaybeConst<WalRecord> R>
+void Walk(W& w, R& record) {
+  w.Field(record.series);
+  w.Field(record.first_timestamp);
+  w.Field(record.interval_seconds);
+  w.Field(record.first_index);
+  w.Field(record.values);
+}
+
 /// Decodes one record payload; any defect returns Corruption, which the
 /// caller treats as "the valid prefix ends here".
 Result<WalRecord> ParseRecordPayload(const zip::Frame& frame) {
-  compress::ByteReader body(frame.payload, frame.payload_size);
-  const uint8_t id_len = *body.GetU8();  // A frame is never empty.
-  // The id is followed by 24 bytes: ts, interval, first_index and count.
-  if (id_len == 0 || body.remaining() < id_len + size_t{24}) {
-    return Status::Corruption("wal record with an empty or truncated id");
-  }
+  compress::WireReader reader(frame.payload, frame.payload_size);
   WalRecord record;
-  record.series.assign(reinterpret_cast<const char*>(body.current()), id_len);
-  (void)body.Skip(id_len);
-  record.first_timestamp = *body.GetI64();
-  record.interval_seconds = *body.GetI32();
-  record.first_index = *body.GetU64();
-  const uint32_t count = *body.GetU32();
+  Walk(reader, record);
+  // The count must account for the rest of the payload exactly; anything
+  // else is a corrupt or spliced length field.
+  if (Status s = reader.Finish(); !s.ok()) return s;
+  if (record.series.empty()) {
+    return Status::Corruption("wal record with an empty id");
+  }
   if (record.interval_seconds <= 0) {
     return Status::Corruption("wal record with a non-positive interval");
   }
-  // The count must account for the remaining payload exactly; anything else
-  // is a corrupt or spliced length field.
-  if (count == 0 || body.remaining() != uint64_t{count} * sizeof(double)) {
-    return Status::Corruption("wal record count disagrees with its payload");
+  if (record.values.empty()) {
+    return Status::Corruption("wal record with no values");
   }
-  record.values.resize(count);
-  for (double& v : record.values) v = *body.GetDouble();
   return record;
 }
 
 }  // namespace
 
 Result<std::vector<uint8_t>> EncodeWalRecord(const WalRecord& record) {
-  compress::ByteWriter writer;
-  writer.PutU64(0);  // The frame header, filled in by SealFrame.
-  writer.PutU8(static_cast<uint8_t>(record.series.size()));
-  for (const char c : record.series) {
-    writer.PutU8(static_cast<uint8_t>(c));
-  }
-  writer.PutI64(record.first_timestamp);
-  writer.PutI32(record.interval_seconds);
-  writer.PutU64(record.first_index);
-  writer.PutU32(static_cast<uint32_t>(record.values.size()));
-  for (const double v : record.values) writer.PutDouble(v);
-  std::vector<uint8_t> frame = writer.Finish();
-  Status sealed = zip::SealFrame(kWalRecordMagic, kWalMaxPayload, frame);
+  compress::WireWriter writer;
+  writer.Field(uint64_t{0});  // The frame header, filled in by SealFrame.
+  Walk(writer, record);
+  Result<std::vector<uint8_t>> frame = writer.Finish();
+  if (!frame.ok()) return frame.status();
+  Status sealed = zip::SealFrame(kWalRecordMagic, kWalMaxPayload, *frame);
   if (!sealed.ok()) return sealed;
   return frame;
 }

@@ -10,8 +10,8 @@
 
 namespace lossyts::serve {
 
-// Per-shard write-ahead log (all integers little-endian through
-// compress::ByteWriter):
+// Per-shard write-ahead log (all integers little-endian; the record payload
+// is one layout in wal.cc over compress::WireWriter/WireReader):
 //
 //   WalFile   := WalHeader WalRecord*
 //   WalHeader := u32 kWalMagic, u8 version, u32 crc32(version)

@@ -55,7 +55,7 @@ TEST_F(ServeDaemonTest, RequestEncodingRoundTrips) {
   request.first_timestamp = -1234567890123;
   request.interval_seconds = 15;
   request.values = {0.0, -1.5, 3.25e300, 1e-300};
-  auto decoded = DecodeRequest(EncodeRequest(request));
+  auto decoded = DecodeRequest(*EncodeRequest(request));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->type, request.type);
   EXPECT_EQ(decoded->series, request.series);
@@ -68,7 +68,7 @@ TEST_F(ServeDaemonTest, RequestEncodingRoundTrips) {
   read.series = "x";
   read.t0 = -5;
   read.t1 = 1LL << 40;
-  auto decoded_read = DecodeRequest(EncodeRequest(read));
+  auto decoded_read = DecodeRequest(*EncodeRequest(read));
   ASSERT_TRUE(decoded_read.ok());
   EXPECT_EQ(decoded_read->t0, read.t0);
   EXPECT_EQ(decoded_read->t1, read.t1);
@@ -81,7 +81,7 @@ TEST_F(ServeDaemonTest, ReplyEncodingRoundTrips) {
   reply.interval_seconds = 60;
   reply.values = {1.0, 2.0, 3.0};
   auto decoded = DecodeReply(RequestType::kReadRange,
-                             EncodeReply(RequestType::kReadRange, reply));
+                             *EncodeReply(RequestType::kReadRange, reply));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->start_timestamp, 777);
   EXPECT_EQ(decoded->values, reply.values);
@@ -91,7 +91,7 @@ TEST_F(ServeDaemonTest, ReplyEncodingRoundTrips) {
   retry.message = "queue full";
   retry.retry_after_ms = 75;
   auto decoded_retry = DecodeReply(RequestType::kAppend,
-                                   EncodeReply(RequestType::kAppend, retry));
+                                   *EncodeReply(RequestType::kAppend, retry));
   ASSERT_TRUE(decoded_retry.ok());
   EXPECT_EQ(decoded_retry->kind, ReplyKind::kRetry);
   EXPECT_EQ(decoded_retry->retry_after_ms, 75u);
@@ -100,7 +100,7 @@ TEST_F(ServeDaemonTest, ReplyEncodingRoundTrips) {
   const Status lost = Status::Corruption("chunk 3 failed its crc");
   auto decoded_error =
       DecodeReply(RequestType::kPing,
-                  EncodeReply(RequestType::kPing, ReplyFromStatus(lost, 0)));
+                  *EncodeReply(RequestType::kPing, ReplyFromStatus(lost, 0)));
   ASSERT_TRUE(decoded_error.ok());
   const Status back = StatusFromReply(*decoded_error);
   EXPECT_EQ(back.code(), StatusCode::kCorruption);
@@ -118,7 +118,7 @@ TEST_F(ServeDaemonTest, QueryEncodingRoundTrips) {
   request.query.match = "cpu";
   request.query.pred_suffix = ".fc";
   request.query.season_length = 24;
-  auto decoded = DecodeRequest(EncodeRequest(request));
+  auto decoded = DecodeRequest(*EncodeRequest(request));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->type, RequestType::kQuery);
   EXPECT_EQ(decoded->query.metrics, request.query.metrics);
@@ -142,7 +142,7 @@ TEST_F(ServeDaemonTest, QueryEncodingRoundTrips) {
   row.metrics = {0.25, 0.125};
   reply.query.rows.push_back(row);
   auto decoded_reply = DecodeReply(RequestType::kQuery,
-                                   EncodeReply(RequestType::kQuery, reply));
+                                   *EncodeReply(RequestType::kQuery, reply));
   ASSERT_TRUE(decoded_reply.ok()) << decoded_reply.status().ToString();
   EXPECT_EQ(decoded_reply->query.metric_names, reply.query.metric_names);
   EXPECT_EQ(decoded_reply->query.aggregate_names,

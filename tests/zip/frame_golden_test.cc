@@ -93,7 +93,7 @@ TEST(FrameGoldenTest, SocketFrame) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   ASSERT_TRUE(
-      serve::WriteFrame(fds[0], serve::EncodeRequest(request), 1000).ok());
+      serve::WriteFrame(fds[0], *serve::EncodeRequest(request), 1000).ok());
   ::close(fds[0]);
   std::vector<uint8_t> bytes;
   uint8_t buffer[256];

@@ -35,6 +35,26 @@ segment_guard() {
   fi
 }
 
+# Wire guard: each serve message and the WAL record has one layout, a
+# two-way walk over compress::WireWriter/WireReader (src/compress/serde.h),
+# so a hand-written field read must not come back under src/serve, nor a
+# hand-written field write in the protocol.
+wire_guard() {
+  local found=0
+  if grep -rnE '\.Get(U8|U16|U32|U64|I32|I64|Double)\(' "${ROOT}/src/serve"
+  then
+    found=1
+  fi
+  if grep -nE '\.Put(U8|U16|U32|U64|I32|I64|Double)\(' \
+      "${ROOT}/src/serve/protocol.cc"; then
+    found=1
+  fi
+  if [[ "${found}" == 1 ]]; then
+    echo "wire_guard: lay out serve messages with compress/serde.h's walker"
+    return 1
+  fi
+}
+
 # Serve-daemon crash smoke, run in every leg (so the WAL replay and socket
 # paths are also sanitizer-checked): start `lossyts serve`, drive mixed
 # traffic, SIGKILL the daemon mid-ingest, reopen the catalog and verify that
@@ -312,6 +332,7 @@ run_config() {
 
 flag_guard
 segment_guard
+wire_guard
 run_config plain ""
 # Query pushdown floor, plain leg only: micro_query checks its 3x speedup
 # over a naive decode loop against the best of interleaved fast/naive pairs,
