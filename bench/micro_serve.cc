@@ -19,6 +19,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -99,7 +100,7 @@ WorkloadResult RunWorkload(int jobs, int writers, int batches, int points) {
         }
         if (!(*client)
                  ->Append(series, static_cast<int64_t>(b) * points * 60, 60,
-                          values)
+                          std::move(values))
                  .ok()) {
           ++append_failures[static_cast<size_t>(w)];
         }

@@ -2,6 +2,7 @@
 #define LOSSYTS_COMPRESS_SERDE_H_
 
 #include <algorithm>
+#include <bit>
 #include <concepts>
 #include <cstdint>
 #include <cstring>
@@ -191,9 +192,15 @@ class WireWriter {
     out_.PutU8(static_cast<uint8_t>(s.size()));
     out_.PutBytes(s.data(), s.size());
   }
+  /// One block copy on little-endian hosts, whose doubles are already in
+  /// wire order; one value at a time elsewhere.
   void Field(const std::vector<double>& values) {
     if (!Count(values.size())) return;
-    for (const double v : values) out_.PutDouble(v);
+    if constexpr (std::endian::native == std::endian::little) {
+      out_.PutBytes(values.data(), values.size() * sizeof(double));
+    } else {
+      for (const double v : values) out_.PutDouble(v);
+    }
   }
   void Field(const std::vector<std::string>& list) {
     List(list, [](WireWriter& w, const std::string& s) { w.Field(s); });
@@ -265,7 +272,13 @@ class WireReader {
       return;
     }
     values.resize(count);
-    for (double& v : values) Field(v);
+    if constexpr (std::endian::native == std::endian::little) {
+      if (count == 0) return;
+      std::memcpy(values.data(), in_.current(), count * sizeof(double));
+      (void)in_.Skip(count * sizeof(double));
+    } else {
+      for (double& v : values) Field(v);
+    }
   }
   void Field(std::vector<std::string>& list) {
     List(list, [](WireReader& r, std::string& s) { r.Field(s); });

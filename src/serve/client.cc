@@ -53,14 +53,13 @@ Status Client::Ping() {
 }
 
 Status Client::Append(const std::string& series, int64_t first_timestamp,
-                      int32_t interval_seconds,
-                      const std::vector<double>& values) {
+                      int32_t interval_seconds, std::vector<double> values) {
   Request request;
   request.type = RequestType::kAppend;
   request.series = series;
   request.first_timestamp = first_timestamp;
   request.interval_seconds = interval_seconds;
-  request.values = values;
+  request.values = std::move(values);
   return RoundTrip(request).status();
 }
 

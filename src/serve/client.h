@@ -42,9 +42,10 @@ class Client {
 
   Status Ping();
   /// Appends `values` on the series' regular grid. OK only after the daemon
-  /// has fsync'd the write (the durability contract).
+  /// has fsync'd the write (the durability contract). `values` moves into
+  /// the request, so pass an rvalue to send the batch without a copy.
   Status Append(const std::string& series, int64_t first_timestamp,
-                int32_t interval_seconds, const std::vector<double>& values);
+                int32_t interval_seconds, std::vector<double> values);
   Result<TimeSeries> ReadRange(const std::string& series, int64_t t0,
                                int64_t t1);
   Result<ServeStats> Stats();

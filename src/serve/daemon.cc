@@ -424,9 +424,10 @@ void Daemon::DrainShard(size_t index) {
     std::vector<AppendOp> ops;
     ops.reserve(batch.size());
     for (const std::shared_ptr<PendingAppend>& pending : batch) {
-      ops.push_back(pending->op);
+      ops.push_back(std::move(pending->op));  // Only the status is read back.
     }
-    const std::vector<Status> statuses = shards_[index]->AppendBatch(ops);
+    const std::vector<Status> statuses =
+        shards_[index]->AppendBatch(std::move(ops));
     for (size_t i = 0; i < batch.size(); ++i) {
       std::lock_guard<std::mutex> lock(batch[i]->mu);
       batch[i]->status = statuses[i];

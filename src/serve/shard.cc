@@ -86,6 +86,8 @@ Result<std::unique_ptr<Shard>> Shard::Open(const std::string& dir,
   ::closedir(d);
   std::sort(store_files.begin(), store_files.end());
 
+  const std::vector<uint8_t> shard_header =
+      store::EncodeStoreHeader(store::HeaderFor(shard->CheckpointOptions()));
   for (const std::string& file : store_files) {
     const std::string series =
         file.substr(0, file.size() - std::strlen(kStoreSuffix));
@@ -106,6 +108,12 @@ Result<std::unique_ptr<Shard>> Shard::Open(const std::string& dir,
     state.interval_seconds = all->interval_seconds();
     state.values = std::move(all->mutable_values());
     state.store_points = state.values.size();
+    // Only a store written under this shard's exact header has chunks the
+    // next checkpoint would write again; any other is rewritten in full.
+    if (store::EncodeStoreHeader((*reader)->header()) == shard_header) {
+      state.store_prefix =
+          store::FullChunkPrefix((*reader)->chunks(), options.chunk_span);
+    }
     shard->series_.emplace(series, std::move(state));
   }
 
@@ -184,7 +192,7 @@ bool Shard::ApplyReplayedRecord(const WalRecord& record) {
 }
 
 Result<WalRecord> Shard::PrepareOp(
-    const AppendOp& op, std::map<std::string, BatchSeries>& pending) const {
+    AppendOp op, std::map<std::string, BatchSeries>& pending) const {
   if (!ValidSeriesName(op.series)) {
     return Status::InvalidArgument("invalid series id: '" + op.series + "'");
   }
@@ -241,20 +249,20 @@ Result<WalRecord> Shard::PrepareOp(
     }
   }
 
-  WalRecord record;
-  record.series = op.series;
-  record.first_timestamp = op.first_timestamp;
-  record.interval_seconds = op.interval_seconds;
-  record.first_index = points;
-  record.values = op.values;
   BatchSeries& entry = pending[op.series];
   entry.start_timestamp = start;
   entry.interval_seconds = interval;
   entry.points = points + op.values.size();
+  WalRecord record;
+  record.series = std::move(op.series);
+  record.first_timestamp = op.first_timestamp;
+  record.interval_seconds = op.interval_seconds;
+  record.first_index = points;
+  record.values = std::move(op.values);
   return record;
 }
 
-std::vector<Status> Shard::AppendBatch(const std::vector<AppendOp>& ops) {
+std::vector<Status> Shard::AppendBatch(std::vector<AppendOp> ops) {
   std::vector<Status> statuses(ops.size(), Status::OK());
   if (failed_.load(std::memory_order_relaxed)) {
     for (Status& s : statuses) {
@@ -271,7 +279,7 @@ std::vector<Status> Shard::AppendBatch(const std::vector<AppendOp>& ops) {
   bool any_logged = false;
   Status wal_failure = Status::OK();
   for (size_t i = 0; i < ops.size(); ++i) {
-    Result<WalRecord> record = PrepareOp(ops[i], pending);
+    Result<WalRecord> record = PrepareOp(std::move(ops[i]), pending);
     if (!record.ok()) {
       statuses[i] = record.status();
       continue;
@@ -328,26 +336,42 @@ std::vector<Status> Shard::AppendBatch(const std::vector<AppendOp>& ops) {
   return statuses;
 }
 
+store::StoreOptions Shard::CheckpointOptions() const {
+  store::StoreOptions store_options;
+  store_options.error_bound = options_.error_bound;
+  store_options.chunk_span = options_.chunk_span;
+  store_options.codecs = options_.codecs;
+  store_options.sync = options_.sync;
+  return store_options;
+}
+
 Status Shard::Flush() {
   if (failed_.load(std::memory_order_relaxed)) {
     return Status::FailedPrecondition("shard writer failed earlier");
   }
 
-  // Snapshot the dirty series. AppendBatch/Flush are single-writer, so the
-  // copies cannot go stale before the checkpoint finishes.
+  // Snapshot the dirty series: each store's full-chunk prefix and the values
+  // past it. AppendBatch/Flush are single-writer, so the snapshot cannot go
+  // stale before the checkpoint finishes.
   struct DirtySeries {
     std::string name;
     int64_t start = 0;
     int32_t interval = 0;
-    std::vector<double> values;
+    uint64_t points = 0;        ///< The series' length at the snapshot.
+    store::ChunkPrefix prefix;  ///< Copied forward from the live store.
+    std::vector<double> tail;   ///< Values past the prefix.
   };
   std::vector<DirtySeries> dirty;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& [name, state] : series_) {
       if (state.values.size() > state.store_points) {
+        const auto tail_begin =
+            state.values.begin() +
+            static_cast<ptrdiff_t>(state.store_prefix.points);
         dirty.push_back({name, state.start_timestamp, state.interval_seconds,
-                         state.values});
+                         state.values.size(), state.store_prefix,
+                         std::vector<double>(tail_begin, state.values.end())});
       }
     }
   }
@@ -362,29 +386,42 @@ Status Shard::Flush() {
     return s;
   };
 
-  for (const DirtySeries& series : dirty) {
+  const store::StoreOptions store_options = CheckpointOptions();
+  for (DirtySeries& series : dirty) {
     if (Status s = FailPoints::Hit("shard_flush"); !s.ok()) {
       return abort_flush(s);
     }
-    store::StoreOptions store_options;
-    store_options.error_bound = options_.error_bound;
-    store_options.chunk_span = options_.chunk_span;
-    store_options.codecs = options_.codecs;
-    store_options.sync = options_.sync;
     const std::string final_path = dir_ + "/" + series.name + kStoreSuffix;
     const std::string tmp_path = final_path + kTmpSuffix;
+    uint64_t first = series.prefix.points;
     Result<std::unique_ptr<store::StoreWriter>> writer =
-        store::StoreWriter::Create(tmp_path, store_options);
-    if (!writer.ok()) return abort_flush(writer.status());
-    TimeSeries snapshot(series.start, series.interval, series.values);
-    if (Status s = (*writer)->Append(snapshot); !s.ok()) {
-      return abort_flush(s);
+        store::StoreWriter::CreateFromPrefix(tmp_path, store_options,
+                                             final_path, series.prefix);
+    if (!writer.ok() && first > 0) {
+      // The live store no longer holds the prefix (a frame failed its
+      // check): encode the whole series from memory instead.
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        const std::vector<double>& values = series_.at(series.name).values;
+        series.tail.insert(series.tail.begin(), values.begin(),
+                           values.begin() + static_cast<ptrdiff_t>(first));
+      }
+      first = 0;
+      writer = store::StoreWriter::Create(tmp_path, store_options);
     }
+    if (!writer.ok()) return abort_flush(writer.status());
+    const TimeSeries tail(
+        series.start + static_cast<int64_t>(first) * series.interval,
+        series.interval, std::move(series.tail));
+    if (Status s = (*writer)->Append(tail); !s.ok()) return abort_flush(s);
     if (Status s = (*writer)->Finish(); !s.ok()) return abort_flush(s);
     if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
       return abort_flush(Status::IoError("rename of " + tmp_path +
                                          " failed: " + std::strerror(errno)));
     }
+    std::lock_guard<std::mutex> lock(mu_);
+    series_.at(series.name).store_prefix =
+        store::FullChunkPrefix((*writer)->chunks(), options_.chunk_span);
   }
   if (!dirty.empty() && options_.sync) {
     if (Status s = SyncDirectory(dir_); !s.ok()) return abort_flush(s);
@@ -414,7 +451,7 @@ Status Shard::Flush() {
 
   std::lock_guard<std::mutex> lock(mu_);
   for (const DirtySeries& series : dirty) {
-    series_[series.name].store_points = series.values.size();
+    series_.at(series.name).store_points = series.points;
   }
   ++flushes_;
   return Status::OK();

@@ -29,8 +29,8 @@ struct ShardOptions {
   uint32_t chunk_span = 512;
   std::vector<std::string> codecs;
   /// Checkpoint threshold: after an append batch, if the WAL has grown past
-  /// this many bytes the shard rewrites its dirty series as .lts stores and
-  /// resets the log. 0 checkpoints after every batch.
+  /// this many bytes the shard checkpoints its dirty series into their .lts
+  /// stores (see Flush) and resets the log. 0 checkpoints after every batch.
   uint64_t flush_wal_bytes = 4u << 20;
   /// fsync-before-ack. Turning this off voids the durability contract (a
   /// kill can lose acked writes) and exists only for throughput benches.
@@ -88,7 +88,10 @@ struct ShardStats {
 /// apply only their uncovered suffix (first_index makes this exact), and a
 /// gap — a record whose first_index is past the series' recovered length —
 /// ends that series' replay, mirroring the torn-tail rule. The WAL is then
-/// truncated to its valid prefix and reopened for appending.
+/// truncated to its valid prefix and reopened for appending. Each store
+/// written under this shard's exact store header keeps its full-chunk
+/// prefix for the next checkpoint to copy; any other store is rewritten in
+/// full by it.
 class Shard {
  public:
   static Result<std::unique_ptr<Shard>> Open(const std::string& dir,
@@ -96,17 +99,25 @@ class Shard {
 
   /// Validates, logs, fsyncs, then applies a batch of appends; one Status
   /// per op, positionally. Group commit: the whole batch shares one fsync.
+  /// The ops' values move into the log records, so an rvalue batch is never
+  /// copied.
   /// Invalid ops (bad id, grid break) fail their slot without poisoning the
   /// batch; a WAL write/fsync failure kills the shard — every op not made
   /// durable by a successful Sync reports the failure, nothing of the batch
   /// becomes visible, and later calls refuse with FailedPrecondition.
-  std::vector<Status> AppendBatch(const std::vector<AppendOp>& ops);
+  std::vector<Status> AppendBatch(std::vector<AppendOp> ops);
 
-  /// Checkpoints every dirty series into its `.lts` store (written to a
-  /// .tmp sibling with StoreOptions::sync, renamed, directory fsync'd) and
-  /// resets the WAL. Failure (including the "shard_flush" failpoint) aborts
-  /// the checkpoint but is NOT fatal: the WAL still covers everything, so
-  /// ingest continues and the next threshold crossing retries.
+  /// Checkpoints every dirty series into its `.lts` store and resets the
+  /// WAL. Each new store is a .tmp sibling (StoreOptions::sync) that starts
+  /// with the live store's full-chunk frames, copied verbatim and checked,
+  /// and encodes only the values past them; it is then renamed over the
+  /// live store and the directory fsync'd. The file is byte-identical to a
+  /// one-shot write of all the values. A prefix frame that fails its check
+  /// falls back to encoding the whole series from memory. Failure
+  /// (including the "shard_flush" failpoint: once per dirty series, once
+  /// before the WAL reset) aborts the checkpoint but is NOT fatal: the WAL
+  /// still covers everything, so ingest continues and the next threshold
+  /// crossing retries.
   Status Flush();
 
   /// Snapshot-consistent range read (inclusive, clamped to the stored
@@ -140,6 +151,11 @@ class Shard {
     std::vector<double> values;
     /// Points covered by the on-disk .lts checkpoint (vs the WAL).
     uint64_t store_points = 0;
+    /// The on-disk store's full-chunk prefix, which the next checkpoint
+    /// copies forward instead of encoding again. Set after each checkpoint's
+    /// rename and rebuilt by Open; empty when the store's header differs
+    /// from this shard's. Only the writer reads it.
+    store::ChunkPrefix store_prefix;
     /// Open streaming compressor (null until first fed, or permanently when
     /// the series' metadata cannot open a stream). Never checkpointed: the
     /// state is a pure function of `values`, rebuilt on recovery.
@@ -159,10 +175,10 @@ class Shard {
   };
 
   /// Validates `op` against the series' current grid (creating the series
-  /// on first append) and returns the record to log; does not mutate shard
-  /// state, only the batch-local `pending` map.
+  /// on first append) and moves it into the record to log; does not mutate
+  /// shard state, only the batch-local `pending` map.
   Result<WalRecord> PrepareOp(
-      const AppendOp& op, std::map<std::string, BatchSeries>& pending) const;
+      AppendOp op, std::map<std::string, BatchSeries>& pending) const;
   /// Applies one replayed record during Open (idempotent against the
   /// checkpoint stores). Returns false when the record opens a gap.
   bool ApplyReplayedRecord(const WalRecord& record);
@@ -170,6 +186,8 @@ class Shard {
   /// on first use. No-op when streaming is off or the stream failed to open.
   /// Caller holds mu_ (or is still single-threaded inside Open).
   void AdvanceStream(SeriesState& state);
+  /// The options of this shard's checkpoint stores.
+  store::StoreOptions CheckpointOptions() const;
 
   std::string dir_;
   ShardOptions options_;

@@ -1,10 +1,55 @@
 #include "store/format.h"
 
+#include "compress/header.h"
 #include "zip/crc32.h"
 
 namespace lossyts::store {
 
-void WriteStoreHeader(const StoreHeader& header, compress::ByteWriter& writer) {
+Result<ChunkInfo> ParseChunkFrame(const zip::Frame& frame, size_t offset,
+                                  uint32_t chunk_span) {
+  if (!IsKnownAlgorithm(frame.payload[0])) {
+    return Status::Corruption("chunk blob has an unknown algorithm id");
+  }
+  compress::ByteReader blob(frame.payload, frame.payload_size);
+  Result<compress::BlobHeader> header = compress::ReadHeader(
+      blob, static_cast<compress::AlgorithmId>(frame.payload[0]));
+  if (!header.ok()) return header.status();
+  if (header->num_points == 0) {
+    return Status::Corruption("chunk blob with zero points");
+  }
+  if (header->num_points > chunk_span) {
+    return Status::Corruption("chunk holds more points than the chunk span");
+  }
+  if (header->interval_seconds == 0) {
+    return Status::Corruption("chunk blob with a zero sampling interval");
+  }
+  return ChunkInfo{offset,           header->first_timestamp,
+                   header->num_points, header->algorithm,
+                   frame.payload_size, header->interval_seconds};
+}
+
+ChunkPrefix FullChunkPrefix(const std::vector<ChunkInfo>& chunks,
+                            uint32_t chunk_span) {
+  ChunkPrefix prefix;
+  for (const ChunkInfo& chunk : chunks) {
+    if (chunk.num_points != chunk_span) break;
+    prefix.chunks.push_back(chunk);
+    prefix.points += chunk.num_points;
+    prefix.end_offset = chunk.offset + chunk.payload_size + zip::kFrameOverhead;
+  }
+  return prefix;
+}
+
+StoreHeader HeaderFor(const StoreOptions& options) {
+  // The paper's three PEBLC methods plus one lossless fallback so chunks
+  // with non-finite values (which the lossy codecs reject) still ingest.
+  static const std::vector<std::string> kDefaultCodecs = {"PMC", "SWING", "SZ",
+                                                          "GORILLA"};
+  return {options.error_bound, options.chunk_span,
+          options.codecs.empty() ? kDefaultCodecs : options.codecs};
+}
+
+std::vector<uint8_t> EncodeStoreHeader(const StoreHeader& header) {
   compress::ByteWriter body;
   body.PutU8(kFormatVersion);
   body.PutDouble(header.error_bound);
@@ -15,9 +60,11 @@ void WriteStoreHeader(const StoreHeader& header, compress::ByteWriter& writer) {
     for (char c : name) body.PutU8(static_cast<uint8_t>(c));
   }
   std::vector<uint8_t> bytes = body.Finish();
+  compress::ByteWriter writer;
   writer.PutU32(kFileMagic);
   writer.PutBytes(bytes);
   writer.PutU32(zip::ComputeCrc32(bytes.data(), bytes.size()));
+  return writer.Finish();
 }
 
 Result<StoreHeader> ReadStoreHeader(compress::ByteReader& reader) {

@@ -8,6 +8,7 @@
 #include "compress/compressor.h"
 #include "compress/serde.h"
 #include "core/status.h"
+#include "zip/frame.h"
 
 namespace lossyts::store {
 
@@ -84,7 +85,35 @@ struct ChunkInfo {
   compress::AlgorithmId algorithm = compress::AlgorithmId::kPmc;
   uint32_t payload_size = 0;
   int32_t interval_seconds = 0;
+
+  bool operator==(const ChunkInfo&) const = default;
 };
+
+/// Parses the chunk frame found at `offset`: its blob header must name a
+/// known codec, hold 1..chunk_span points and a non-zero interval.
+Result<ChunkInfo> ParseChunkFrame(const zip::Frame& frame, size_t offset,
+                                  uint32_t chunk_span);
+
+/// The leading run of *full* chunks (exactly chunk_span points each) of a
+/// store. Chunks are aligned from the series' first point and trial
+/// compression is per chunk, so a full chunk is a pure function of its
+/// values and the store options: a later store over the same values under
+/// the same header repeats these frames byte for byte.
+struct ChunkPrefix {
+  std::vector<ChunkInfo> chunks;
+  uint64_t points = 0;      ///< chunks.size() x chunk_span.
+  uint64_t end_offset = 0;  ///< File offset just past the last frame.
+};
+
+/// The full-chunk prefix of `chunks` (a store's index, in file order).
+ChunkPrefix FullChunkPrefix(const std::vector<ChunkInfo>& chunks,
+                            uint32_t chunk_span);
+
+/// True for an algorithm id byte of one of the library's codecs.
+inline bool IsKnownAlgorithm(uint8_t id) {
+  return id >= static_cast<uint8_t>(compress::AlgorithmId::kPmc) &&
+         id <= static_cast<uint8_t>(compress::AlgorithmId::kCameo);
+}
 
 /// Codecs whose blobs reconstruct bit-exactly: their chunks contribute zero
 /// to every query's reported error bound.
@@ -107,8 +136,12 @@ struct StoreHeader {
   std::vector<std::string> codecs;
 };
 
-/// Serializes `header` (including its CRC frame) onto `writer`.
-void WriteStoreHeader(const StoreHeader& header, compress::ByteWriter& writer);
+/// The header a store written with `options` carries: an empty codec list
+/// resolves to the default one.
+StoreHeader HeaderFor(const StoreOptions& options);
+
+/// Serializes `header`, including its CRC frame.
+std::vector<uint8_t> EncodeStoreHeader(const StoreHeader& header);
 
 /// Parses and CRC-verifies a file header, leaving `reader` positioned at the
 /// first chunk frame. Corruption on any mismatch.

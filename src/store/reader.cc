@@ -6,7 +6,6 @@
 
 #include "compress/chimp.h"
 #include "compress/gorilla.h"
-#include "compress/header.h"
 #include "compress/pipeline.h"
 #include "compress/segments.h"
 #include "compress/serde.h"
@@ -15,39 +14,6 @@
 #include "zip/frame.h"
 
 namespace lossyts::store {
-
-namespace {
-
-bool KnownAlgorithm(uint8_t id) {
-  return id >= static_cast<uint8_t>(compress::AlgorithmId::kPmc) &&
-         id <= static_cast<uint8_t>(compress::AlgorithmId::kCameo);
-}
-
-/// Validates the blob header of the chunk frame found at `offset`.
-Result<ChunkInfo> ParseChunk(const zip::Frame& frame, size_t offset,
-                             uint32_t chunk_span) {
-  if (!KnownAlgorithm(frame.payload[0])) {
-    return Status::Corruption("chunk blob has an unknown algorithm id");
-  }
-  compress::ByteReader blob(frame.payload, frame.payload_size);
-  Result<compress::BlobHeader> header = compress::ReadHeader(
-      blob, static_cast<compress::AlgorithmId>(frame.payload[0]));
-  if (!header.ok()) return header.status();
-  if (header->num_points == 0) {
-    return Status::Corruption("chunk blob with zero points");
-  }
-  if (header->num_points > chunk_span) {
-    return Status::Corruption("chunk holds more points than the chunk span");
-  }
-  if (header->interval_seconds == 0) {
-    return Status::Corruption("chunk blob with a zero sampling interval");
-  }
-  return ChunkInfo{offset,           header->first_timestamp,
-                   header->num_points, header->algorithm,
-                   frame.payload_size, header->interval_seconds};
-}
-
-}  // namespace
 
 Result<std::unique_ptr<StoreReader>> StoreReader::Open(
     const std::string& path) {
@@ -124,7 +90,7 @@ Status StoreReader::Load(std::vector<uint8_t> bytes) {
       info.first_timestamp = *index.GetI64();
       info.num_points = *index.GetU32();
       const uint8_t alg = *index.GetU8();
-      if (!KnownAlgorithm(alg)) {
+      if (!IsKnownAlgorithm(alg)) {
         return Status::Corruption("store index entry has an unknown codec");
       }
       info.algorithm = static_cast<compress::AlgorithmId>(alg);
@@ -142,7 +108,8 @@ Status StoreReader::Load(std::vector<uint8_t> bytes) {
   const zip::FrameScan scan = zip::ScanFrames(
       bytes_.data(), data_begin, data_end, kChunkMagic, kChunkMaxPayload,
       [&](const zip::Frame& frame, size_t offset) -> Status {
-        Result<ChunkInfo> info = ParseChunk(frame, offset, header_.chunk_span);
+        Result<ChunkInfo> info =
+            ParseChunkFrame(frame, offset, header_.chunk_span);
         if (!info.ok()) return info.status();
         if (chunks_.empty()) {
           start_timestamp_ = info->first_timestamp;

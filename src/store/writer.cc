@@ -3,9 +3,11 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
+#include <fstream>
 #include <utility>
 
 #include "compress/pipeline.h"
@@ -39,12 +41,16 @@ Status SyncParentDirectory(const std::string& path) {
   return Status::OK();
 }
 
-const std::vector<std::string>& DefaultCodecs() {
-  // The paper's three PEBLC methods plus one lossless fallback so chunks
-  // with non-finite values (which the lossy codecs reject) still ingest.
-  static const std::vector<std::string> kDefault = {"PMC", "SWING", "SZ",
-                                                    "GORILLA"};
-  return kDefault;
+/// The first `size` bytes of the file at `path`, or all of it if shorter.
+Result<std::vector<uint8_t>> ReadHead(const std::string& path, uint64_t size) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file.is_open()) return Status::IoError("cannot open " + path);
+  std::vector<uint8_t> bytes(size);
+  file.read(reinterpret_cast<char*>(bytes.data()),
+            static_cast<std::streamsize>(size));
+  if (file.bad()) return Status::IoError("reading " + path + " failed");
+  bytes.resize(static_cast<size_t>(file.gcount()));
+  return bytes;
 }
 
 bool AllFinite(const std::vector<double>& values) {
@@ -72,11 +78,10 @@ Result<std::unique_ptr<StoreWriter>> StoreWriter::Create(
         std::to_string(options.chunk_span));
   }
 
+  const StoreHeader header = HeaderFor(options);
   std::unique_ptr<StoreWriter> writer(new StoreWriter());
   writer->options_ = options;
-  if (writer->options_.codecs.empty()) {
-    writer->options_.codecs = DefaultCodecs();
-  }
+  writer->options_.codecs = header.codecs;
   if (writer->options_.codecs.size() > 255) {
     return Status::InvalidArgument("too many codecs for the u8 header field");
   }
@@ -102,13 +107,58 @@ Result<std::unique_ptr<StoreWriter>> StoreWriter::Create(
     if (Status s = SyncParentDirectory(path); !s.ok()) return s;
   }
 
-  StoreHeader header;
-  header.error_bound = writer->options_.error_bound;
-  header.chunk_span = writer->options_.chunk_span;
-  header.codecs = writer->options_.codecs;
-  compress::ByteWriter bytes;
-  WriteStoreHeader(header, bytes);
-  if (Status s = writer->WriteAll(bytes.Finish()); !s.ok()) return s;
+  const std::vector<uint8_t> bytes = EncodeStoreHeader(header);
+  if (Status s = writer->WriteAll(bytes.data(), bytes.size()); !s.ok()) {
+    return s;
+  }
+  return writer;
+}
+
+Result<std::unique_ptr<StoreWriter>> StoreWriter::CreateFromPrefix(
+    const std::string& path, const StoreOptions& options,
+    const std::string& source, const ChunkPrefix& prefix) {
+  if (prefix.chunks.empty()) return Create(path, options);
+  Result<std::vector<uint8_t>> bytes = ReadHead(source, prefix.end_offset);
+  if (!bytes.ok()) return bytes.status();
+  const std::vector<uint8_t> header = EncodeStoreHeader(HeaderFor(options));
+  if (bytes->size() < header.size() ||
+      !std::equal(header.begin(), header.end(), bytes->begin())) {
+    return Status::Corruption(source + " has another store header");
+  }
+  size_t next = 0;
+  const zip::FrameScan scan = zip::ScanFrames(
+      bytes->data(), header.size(), bytes->size(), kChunkMagic,
+      kChunkMaxPayload, [&](const zip::Frame& frame, size_t offset) -> Status {
+        Result<ChunkInfo> info =
+            ParseChunkFrame(frame, offset, options.chunk_span);
+        if (!info.ok()) return info.status();
+        if (next == prefix.chunks.size() || *info != prefix.chunks[next] ||
+            info->num_points != options.chunk_span) {
+          return Status::Corruption("chunk " + std::to_string(next) + " of " +
+                                    source + " is not the expected full chunk");
+        }
+        ++next;
+        return Status::OK();
+      });
+  if (!scan.status.ok()) return scan.status;
+  if (next != prefix.chunks.size()) {
+    return Status::Corruption(source + " ends inside its chunk prefix");
+  }
+
+  Result<std::unique_ptr<StoreWriter>> writer = Create(path, options);
+  if (!writer.ok()) return writer;
+  StoreWriter& w = **writer;
+  if (Status s = w.WriteAll(bytes->data() + header.size(),
+                            bytes->size() - header.size());
+      !s.ok()) {
+    return s;
+  }
+  w.chunks_ = prefix.chunks;
+  w.points_flushed_ =
+      static_cast<uint64_t>(prefix.chunks.size()) * options.chunk_span;
+  w.start_timestamp_ = prefix.chunks.front().first_timestamp;
+  w.interval_ = prefix.chunks.front().interval_seconds;
+  w.grid_fixed_ = true;
   return writer;
 }
 
@@ -116,11 +166,10 @@ StoreWriter::~StoreWriter() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Status StoreWriter::WriteAll(const std::vector<uint8_t>& bytes) {
+Status StoreWriter::WriteAll(const uint8_t* data, size_t size) {
   size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n = ::write(fd_, bytes.data() + written,
-                              bytes.size() - written);
+  while (written < size) {
+    const ssize_t n = ::write(fd_, data + written, size - written);
     if (n < 0) {
       if (errno == EINTR) continue;
       failed_ = true;
@@ -129,7 +178,7 @@ Status StoreWriter::WriteAll(const std::vector<uint8_t>& bytes) {
     }
     written += static_cast<size_t>(n);
   }
-  offset_ += bytes.size();
+  offset_ += size;
   return Status::OK();
 }
 
@@ -194,13 +243,13 @@ Status StoreWriter::WriteChunk(const std::vector<double>& values,
   // dead — exactly the state a killed process leaves behind.
   Status crash = FailPoints::Hit("store_write");
   if (!crash.ok()) {
-    bytes->resize(bytes->size() / 2);
-    (void)WriteAll(*bytes);  // Best effort: the writer is dead either way.
+    // Best effort: the writer is dead either way.
+    (void)WriteAll(bytes->data(), bytes->size() / 2);
     failed_ = true;
     return crash;
   }
 
-  if (Status s = WriteAll(*bytes); !s.ok()) return s;
+  if (Status s = WriteAll(bytes->data(), bytes->size()); !s.ok()) return s;
   chunks_.push_back(info);
   points_flushed_ += values.size();
   return Status::OK();
@@ -319,7 +368,10 @@ Status StoreWriter::Finish() {
     return crash;
   }
 
-  if (Status s = WriteAll(tail.Finish()); !s.ok()) return s;
+  const std::vector<uint8_t> tail_bytes = tail.Finish();
+  if (Status s = WriteAll(tail_bytes.data(), tail_bytes.size()); !s.ok()) {
+    return s;
+  }
   if (Status s = SyncFile(); !s.ok()) return s;
   if (::close(fd_) != 0) {
     fd_ = -1;

@@ -39,6 +39,18 @@ class StoreWriter {
   static Result<std::unique_ptr<StoreWriter>> Create(
       const std::string& path, const StoreOptions& options);
 
+  /// Creates `path` like Create, then copies `prefix`, the full-chunk prefix
+  /// of the store at `source`, into it verbatim: Append continues after it
+  /// exactly as a writer that had encoded those chunks itself, so the file
+  /// is byte-identical to one written from all the values. Before anything
+  /// is created, `source`'s header must equal this store's byte for byte,
+  /// and every frame of the prefix must pass its CRC, parse, hold
+  /// chunk_span points and match its entry in `prefix`; Corruption
+  /// otherwise. The copy does not fire the "store_write" failpoint.
+  static Result<std::unique_ptr<StoreWriter>> CreateFromPrefix(
+      const std::string& path, const StoreOptions& options,
+      const std::string& source, const ChunkPrefix& prefix);
+
   /// Closes the file descriptor if Finish was never reached (an abandoned or
   /// crashed ingestion leaves a salvageable frame prefix behind).
   ~StoreWriter();
@@ -55,6 +67,8 @@ class StoreWriter {
 
   uint64_t points_written() const { return points_buffered_ + points_flushed_; }
   size_t chunks_written() const { return chunks_.size(); }
+  /// Index entries of the chunks written so far, in file order.
+  const std::vector<ChunkInfo>& chunks() const { return chunks_; }
   uint64_t bytes_written() const { return offset_; }
 
  private:
@@ -66,7 +80,7 @@ class StoreWriter {
   /// modelling a crash mid-write (the torn tail the reader must drop).
   Status WriteChunk(const std::vector<double>& values,
                     int64_t first_timestamp);
-  Status WriteAll(const std::vector<uint8_t>& bytes);
+  Status WriteAll(const uint8_t* data, size_t size);
   /// fsyncs the file when options_.sync is set; a no-op otherwise.
   Status SyncFile();
 

@@ -9,6 +9,11 @@
 //     ops (they were fully framed before the crash) but never a fraction of
 //     one, and never out of order.
 //
+// A second generation then appends on top of the recovered shard,
+// checkpoints (copying forward the chunk prefix Open rebuilt from the
+// recovered stores) and reopens once more: every series must read back
+// bit-exactly.
+//
 // Iterations default to 200; scale with LOSSYTS_SERVE_CHAOS_ITERS.
 
 #include <gtest/gtest.h>
@@ -17,6 +22,7 @@
 #include <map>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/failpoint.h"
@@ -156,6 +162,7 @@ TEST(ServeChaosTest, RandomKillsNeverLoseAckedOrSplitUnackedWrites) {
         << "iter " << iter << " site " << crash.site << "@" << fire_on << ": "
         << reopened.status().ToString();
 
+    size_t recovered_points[kSeriesCount] = {0, 0, 0};
     for (int s = 0; s < kSeriesCount; ++s) {
       const std::string name = "chaos-" + std::to_string(s);
       auto read = (*reopened)->ReadRange(name, 0, 1LL << 40);
@@ -181,7 +188,44 @@ TEST(ServeChaosTest, RandomKillsNeverLoseAckedOrSplitUnackedWrites) {
         ASSERT_EQ(read->values()[i], ExpectedValue(s, i))
             << "iter " << iter << " series " << name << " point " << i;
       }
+      recovered_points[s] = recovered;
     }
+
+    // Second generation: append on top of the recovery, checkpoint, reopen.
+    size_t total[kSeriesCount] = {0, 0, 0};
+    for (int s = 0; s < kSeriesCount; ++s) {
+      const size_t count = 1 + rng() % 40;
+      AppendOp op;
+      op.series = "chaos-" + std::to_string(s);
+      op.interval_seconds = 60;
+      op.first_timestamp = static_cast<int64_t>(recovered_points[s]) * 60;
+      for (size_t i = 0; i < count; ++i) {
+        op.values.push_back(ExpectedValue(s, recovered_points[s] + i));
+      }
+      const std::vector<Status> statuses =
+          (*reopened)->AppendBatch({std::move(op)});
+      ASSERT_TRUE(statuses[0].ok())
+          << "iter " << iter << ": " << statuses[0].ToString();
+      total[s] = recovered_points[s] + count;
+    }
+    ASSERT_TRUE((*reopened)->Flush().ok()) << "iter " << iter;
+    reopened->reset();
+    auto second = Shard::Open(dir, options);
+    ASSERT_TRUE(second.ok()) << "iter " << iter << ": "
+                             << second.status().ToString();
+    for (int s = 0; s < kSeriesCount; ++s) {
+      const std::string name = "chaos-" + std::to_string(s);
+      auto read = (*second)->ReadRange(name, 0, 1LL << 40);
+      ASSERT_TRUE(read.ok()) << read.status().ToString();
+      ASSERT_EQ(read->values().size(), total[s])
+          << "iter " << iter << " series " << name;
+      for (size_t i = 0; i < total[s]; ++i) {
+        ASSERT_EQ(read->values()[i], ExpectedValue(s, i))
+            << "iter " << iter << " series " << name << " point " << i
+            << " after the second reopen";
+      }
+    }
+    second->reset();
 
     const std::string cmd = "rm -rf '" + dir + "'";
     ASSERT_EQ(std::system(cmd.c_str()), 0);

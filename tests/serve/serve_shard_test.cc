@@ -1,18 +1,26 @@
 // Shard semantics: group commit, per-op validation, checkpoint + idempotent
-// WAL replay, crash failpoints at every stage, and snapshot-consistent
-// concurrent reads (src/serve/shard.{h,cc}).
+// WAL replay, incremental checkpoints (byte identity with a one-shot store
+// write, reuse across restarts), crash failpoints at every stage, and
+// snapshot-consistent concurrent reads (src/serve/shard.{h,cc}).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "compress/compressor.h"
 #include "core/failpoint.h"
 #include "serve/shard.h"
+#include "store/reader.h"
+#include "store/writer.h"
 #include "test_util.h"
 
 namespace lossyts::serve {
@@ -47,6 +55,42 @@ AppendOp MakeOp(const std::string& series, int64_t first_timestamp,
   op.interval_seconds = 60;
   op.values = std::move(values);
   return op;
+}
+
+std::vector<uint8_t> ReadFileBytes(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  return std::vector<uint8_t>((std::istreambuf_iterator<char>(file)),
+                              std::istreambuf_iterator<char>());
+}
+
+/// The bytes of a store written in one go, StoreWriter::Append + Finish,
+/// over `values` on the tests' grid (start 0, interval 60) under the
+/// shard's checkpoint options.
+std::vector<uint8_t> OneShotStore(const std::string& path,
+                                  const ShardOptions& options,
+                                  const std::vector<double>& values) {
+  store::StoreOptions store_options;
+  store_options.error_bound = options.error_bound;
+  store_options.chunk_span = options.chunk_span;
+  store_options.codecs = options.codecs;
+  auto writer = store::StoreWriter::Create(path, store_options);
+  EXPECT_TRUE(writer.ok()) << writer.status().ToString();
+  if (!writer.ok()) return {};
+  EXPECT_TRUE((*writer)->Append(TimeSeries(0, 60, values)).ok());
+  EXPECT_TRUE((*writer)->Finish().ok());
+  return ReadFileBytes(path);
+}
+
+/// A random walk of `count` points continuing from `level`.
+std::vector<double> RandomWalk(std::mt19937& rng, size_t count,
+                               double& level) {
+  std::normal_distribution<double> step(0.0, 1.0);
+  std::vector<double> values;
+  for (size_t i = 0; i < count; ++i) {
+    level += step(rng);
+    values.push_back(level);
+  }
+  return values;
 }
 
 TEST_F(ServeShardTest, GroupCommitAppliesTheWholeBatch) {
@@ -221,6 +265,204 @@ TEST_F(ServeShardTest, FsyncCrashNeverLeavesHalfAnOpVisible) {
   }
 }
 
+// Incremental checkpoints copy each full chunk's frame forward instead of
+// encoding it again; the result must be the store a one-shot write of the
+// same values gives, byte for byte, under random schedules: random chunk
+// spans, partial tail chunks, several series, and checkpoints aborted part
+// way by the shard_flush failpoint and then retried.
+TEST_F(ServeShardTest, CheckpointsMatchAOneShotStoreWriteByteForByte) {
+  constexpr uint32_t kSpans[] = {5, 16, 32, 64, 100};
+  const std::string scratch = TempDir("shard_oneshot_scratch");
+  ASSERT_TRUE(EnsureDirectory(scratch).ok());
+  int aborted = 0;
+  for (uint32_t seed = 0; seed < 6; ++seed) {
+    std::mt19937 rng(0x1C4E0000u + seed);
+    const std::string dir = TempDir("shard_oneshot_" + std::to_string(seed));
+    ShardOptions options;  // The default lossy codec list.
+    options.sync = false;
+    options.chunk_span = kSpans[rng() % std::size(kSpans)];
+    options.flush_wal_bytes = 1u << 30;  // Checkpoint only when asked.
+    auto shard = Shard::Open(dir, options);
+    ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+
+    const std::string names[] = {"a", "b"};
+    std::vector<double> acked[2];
+    double level[2] = {50.0, -20.0};
+    for (int step = 0; step < 24; ++step) {
+      const size_t s = rng() % 2;
+      const std::vector<double> values =
+          RandomWalk(rng, 1 + rng() % 150, level[s]);
+      const auto statuses = (*shard)->AppendBatch({MakeOp(
+          names[s], static_cast<int64_t>(acked[s].size()) * 60, values)});
+      ASSERT_TRUE(statuses[0].ok()) << statuses[0].ToString();
+      acked[s].insert(acked[s].end(), values.begin(), values.end());
+      if (rng() % 3 != 0) continue;
+
+      if (rng() % 3 == 0) {
+        // Abort at the first or second series, or before the WAL reset.
+        FailPoints::Arm("shard_flush", 1 + rng() % 3);
+        const Status failed = (*shard)->Flush();
+        FailPoints::DisarmAll();
+        if (!failed.ok()) ++aborted;
+      }
+      ASSERT_TRUE((*shard)->Flush().ok());
+      for (size_t i = 0; i < 2; ++i) {
+        if (acked[i].empty()) continue;
+        const std::vector<uint8_t> expected =
+            OneShotStore(scratch + "/" + names[i] + ".lts", options, acked[i]);
+        EXPECT_EQ(ReadFileBytes(dir + "/" + names[i] + ".lts"), expected)
+            << "seed " << seed << " span " << options.chunk_span << " step "
+            << step << " series " << names[i];
+      }
+    }
+  }
+  EXPECT_GT(aborted, 0) << "no checkpoint was aborted part way";
+}
+
+// Points in full chunks are encoded once, from the acked values, and stay
+// so across restarts: the chunk frames a store held before a restart are
+// copied into every later checkpoint unchanged, so each such point stays
+// within the error bound of its acked value. A restart used to decode the
+// store and encode the reconstructions again, compounding the error.
+TEST_F(ServeShardTest, RestartsKeepFullChunksByteIdenticalAndWithinTheBound) {
+  const std::string dir = TempDir("shard_restarts");
+  ShardOptions options;  // The default lossy codec list.
+  options.sync = false;
+  options.chunk_span = 64;
+  options.flush_wal_bytes = 1u << 30;
+  std::mt19937 rng(42);
+  double level = 100.0;
+  std::vector<double> acked;
+  // False for points that sat in a short tail chunk at a restart: later
+  // checkpoints encode their reconstructions again (a documented caveat).
+  std::vector<bool> encoded_once;
+  std::vector<uint8_t> kept_frames;  // Full-chunk frames before a restart.
+  for (int generation = 0; generation < 4; ++generation) {
+    auto shard = Shard::Open(dir, options);
+    ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+    for (int batch = 0; batch < 3; ++batch) {
+      const std::vector<double> values =
+          RandomWalk(rng, 40 + rng() % 200, level);
+      const auto statuses = (*shard)->AppendBatch(
+          {MakeOp("walk", static_cast<int64_t>(acked.size()) * 60, values)});
+      ASSERT_TRUE(statuses[0].ok()) << statuses[0].ToString();
+      acked.insert(acked.end(), values.begin(), values.end());
+      encoded_once.resize(acked.size(), true);
+      ASSERT_TRUE((*shard)->Flush().ok());
+    }
+
+    const std::vector<uint8_t> bytes = ReadFileBytes(dir + "/walk.lts");
+    ASSERT_GE(bytes.size(), kept_frames.size());
+    EXPECT_TRUE(std::equal(kept_frames.begin(), kept_frames.end(),
+                           bytes.begin()))
+        << "generation " << generation
+        << ": a chunk frame from before the restart changed";
+    auto reader = store::StoreReader::OpenBytes(bytes);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    auto stored = (*reader)->ReadAll();
+    ASSERT_TRUE(stored.ok());
+    ASSERT_EQ(stored->size(), acked.size());
+    size_t outside = 0;
+    for (size_t i = 0; i < acked.size(); ++i) {
+      const compress::Allowance a =
+          compress::RelativeAllowance(acked[i], options.error_bound);
+      const double v = stored->values()[i];
+      if (encoded_once[i] && (v < a.lo || v > a.hi)) ++outside;
+    }
+    EXPECT_EQ(outside, 0u) << "generation " << generation;
+
+    // The restart: everything past the full-chunk prefix is re-encoded from
+    // its reconstruction by the next checkpoint.
+    const store::ChunkPrefix prefix =
+        store::FullChunkPrefix((*reader)->chunks(), options.chunk_span);
+    kept_frames.assign(bytes.begin(),
+                       bytes.begin() + static_cast<long>(prefix.end_offset));
+    std::fill(encoded_once.begin() + static_cast<long>(prefix.points),
+              encoded_once.end(), false);
+  }
+}
+
+// A store written under another error bound or codec list has no chunks the
+// shard would write again: the next checkpoint rewrites it in full, under
+// the shard's header, from the recovered values.
+TEST_F(ServeShardTest, ReopenUnderAnotherHeaderRewritesTheStoreInFull) {
+  ShardOptions bound;
+  bound.error_bound = 0.1;
+  ShardOptions codecs;
+  codecs.codecs = {"SWING", "GORILLA"};
+  int variant = 0;
+  for (ShardOptions reopened_options : {bound, codecs}) {
+    const std::string dir = TempDir("shard_header_" + std::to_string(variant));
+    ShardOptions options;
+    options.sync = false;
+    options.chunk_span = 32;
+    reopened_options.sync = false;
+    reopened_options.chunk_span = 32;
+    std::mt19937 rng(7 + variant);
+    double level = 10.0;
+    {
+      auto shard = Shard::Open(dir, options);
+      ASSERT_TRUE(shard.ok());
+      const auto first =
+          (*shard)->AppendBatch({MakeOp("s", 0, RandomWalk(rng, 200, level))});
+      ASSERT_TRUE(first[0].ok());
+      ASSERT_TRUE((*shard)->Flush().ok());
+    }
+    auto shard = Shard::Open(dir, reopened_options);
+    ASSERT_TRUE(shard.ok());
+    const auto more = (*shard)->AppendBatch(
+        {MakeOp("s", 200 * 60, RandomWalk(rng, 10, level))});
+    ASSERT_TRUE(more[0].ok());
+    ASSERT_TRUE((*shard)->Flush().ok());
+    auto values = (*shard)->ReadRange("s", 0, 1LL << 40);
+    ASSERT_TRUE(values.ok());
+    ASSERT_EQ(values->size(), 210u);
+    EXPECT_EQ(ReadFileBytes(dir + "/s.lts"),
+              OneShotStore(dir + "/oneshot.tmp", reopened_options,
+                           values->values()))
+        << "variant " << variant;
+    auto reader = store::StoreReader::Open(dir + "/s.lts");
+    ASSERT_TRUE(reader.ok());
+    EXPECT_EQ((*reader)->header().error_bound, reopened_options.error_bound);
+    ++variant;
+  }
+}
+
+// A live store whose prefix frames no longer check out (bit rot) is not
+// copied: the checkpoint encodes the whole series from memory instead.
+TEST_F(ServeShardTest, ACorruptPrefixFrameFallsBackToAFullRewrite) {
+  const std::string dir = TempDir("shard_rot");
+  ShardOptions options;
+  options.sync = false;
+  options.chunk_span = 16;
+  std::mt19937 rng(3);
+  double level = 5.0;
+  std::vector<double> acked = RandomWalk(rng, 100, level);
+  auto shard = Shard::Open(dir, options);
+  ASSERT_TRUE(shard.ok());
+  ASSERT_TRUE((*shard)->AppendBatch({MakeOp("s", 0, acked)})[0].ok());
+  ASSERT_TRUE((*shard)->Flush().ok());
+
+  // Flip one byte inside the second chunk's payload.
+  auto reader = store::StoreReader::Open(dir + "/s.lts");
+  ASSERT_TRUE(reader.ok());
+  ASSERT_GE((*reader)->chunks().size(), 3u);
+  const uint64_t at = (*reader)->chunks()[1].offset + 12;
+  reader->reset();
+  std::vector<uint8_t> bytes = ReadFileBytes(dir + "/s.lts");
+  bytes[at] ^= 0x5A;
+  std::ofstream(dir + "/s.lts", std::ios::binary | std::ios::trunc)
+      .write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+
+  const std::vector<double> more = RandomWalk(rng, 20, level);
+  ASSERT_TRUE((*shard)->AppendBatch({MakeOp("s", 100 * 60, more)})[0].ok());
+  ASSERT_TRUE((*shard)->Flush().ok());
+  acked.insert(acked.end(), more.begin(), more.end());
+  EXPECT_EQ(ReadFileBytes(dir + "/s.lts"),
+            OneShotStore(dir + "/oneshot.tmp", options, acked));
+}
+
 TEST_F(ServeShardTest, ValidSeriesNames) {
   EXPECT_TRUE(Shard::ValidSeriesName("cpu.load-1_a"));
   EXPECT_TRUE(Shard::ValidSeriesName("A"));
@@ -293,6 +535,79 @@ TEST(ServeConcurrencyTest, ReadersSeeOnlyCleanPrefixesDuringIngest) {
   ASSERT_TRUE(final_read.ok());
   EXPECT_EQ(final_read->values().size(),
             static_cast<size_t>(kBatches * kPerBatch));
+}
+
+// Readers and Stats run while checkpoints copy store prefixes forward: with
+// lossy codecs and a small chunk span, every checkpoint after the first
+// copies full chunks and encodes only the tail. Named *ConcurrencyTest so
+// the TSan CI leg picks it up.
+TEST(ServeConcurrencyTest, ReadsDuringIncrementalCheckpoints) {
+  const std::string dir = TempDir("shard_incremental_concurrent");
+  ShardOptions options;  // The default lossy codec list.
+  options.sync = false;
+  options.chunk_span = 16;
+  options.flush_wal_bytes = 1 << 10;  // A checkpoint every few batches.
+  auto shard = Shard::Open(dir, options);
+  ASSERT_TRUE(shard.ok());
+
+  constexpr int kBatches = 80;
+  constexpr int kPerBatch = 12;
+  const std::string names[] = {"left", "right"};
+  auto expected_value = [](size_t series, size_t i) {
+    return static_cast<double>(series + 1) * 40.0 +
+           static_cast<double>(i % 37) * 0.25;
+  };
+
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int b = 0; b < kBatches; ++b) {
+      const size_t s = static_cast<size_t>(b) % 2;
+      const size_t first = static_cast<size_t>(b / 2) * kPerBatch;
+      std::vector<double> values;
+      for (int i = 0; i < kPerBatch; ++i) {
+        values.push_back(expected_value(s, first + static_cast<size_t>(i)));
+      }
+      const auto statuses = (*shard)->AppendBatch(
+          {MakeOp(names[s], static_cast<int64_t>(first) * 60,
+                  std::move(values))});
+      ASSERT_TRUE(statuses[0].ok()) << statuses[0].ToString();
+    }
+    done.store(true);
+  });
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      const size_t s = static_cast<size_t>(r);
+      while (!done.load()) {
+        auto read = (*shard)->ReadRange(names[s], 0, 1LL << 40);
+        if (!read.ok()) {
+          ASSERT_EQ(read.status().code(), StatusCode::kNotFound);
+          continue;
+        }
+        const std::vector<double>& got = read->values();
+        ASSERT_EQ(got.size() % kPerBatch, 0u);
+        for (size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i], expected_value(s, i));
+        }
+        (*shard)->Stats();
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_GE((*shard)->Stats().flushes, 3u);
+  ASSERT_TRUE((*shard)->Flush().ok());
+  for (size_t s = 0; s < 2; ++s) {
+    std::vector<double> all;
+    for (size_t i = 0; i < kBatches / 2 * kPerBatch; ++i) {
+      all.push_back(expected_value(s, i));
+    }
+    EXPECT_EQ(ReadFileBytes(dir + "/" + names[s] + ".lts"),
+              OneShotStore(dir + "/oneshot.tmp", options, all))
+        << names[s];
+  }
 }
 
 }  // namespace

@@ -338,6 +338,11 @@ run_config plain ""
 # over a naive decode loop against the best of interleaved fast/naive pairs,
 # a timing ratio the sanitizer builds would distort.
 "${BUILD_ROOT}/plain/bench/micro_query"
+# Chaos soak, plain leg only: the serve chaos battery (a kill at a random
+# failpoint, reopen, then a second generation that appends, checkpoints and
+# reopens again) at 1000 iterations instead of the ctest default of 200.
+LOSSYTS_SERVE_CHAOS_ITERS=1000 "${BUILD_ROOT}/plain/tests/serve_test" \
+  --gtest_filter='ServeChaosTest.*'
 # Order and parallelism guard: the whole suite again in a random order, three
 # times over, so a test that leans on another's files or on running first
 # fails CI rather than a later run.
